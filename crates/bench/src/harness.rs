@@ -19,29 +19,56 @@ pub struct SoakArgs {
     pub smoke: bool,
 }
 
+/// Why a soak refused its command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--seed` was the last argument.
+    MissingSeed,
+    /// The value after `--seed` is not a u64.
+    BadSeed(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingSeed => f.write_str("--seed needs a value"),
+            ArgError::BadSeed(v) => write!(f, "--seed takes a u64, got {v:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
 impl SoakArgs {
     /// Parse `--seed N` / `--smoke` from the process arguments; an
     /// absent `--seed` falls back to the binary's default.
     ///
-    /// # Panics
-    /// Panics (with a usage message) when `--seed` is present without a
-    /// parseable u64 — a soak silently running the wrong seed would
-    /// defeat the reproducibility contract.
+    /// A `--seed` without a parseable u64 after it prints the error and
+    /// a usage line and exits with status 2: a soak silently running the
+    /// wrong seed would defeat the reproducibility contract.
     pub fn parse(default_seed: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_slice(&args, default_seed)
+        Self::from_slice(&args, default_seed).unwrap_or_else(|e| {
+            let bin = args.first().map_or("soak", String::as_str);
+            eprintln!("{bin}: {e}");
+            eprintln!("usage: {bin} [--seed <u64>] [--smoke] [--serial]");
+            std::process::exit(2)
+        })
     }
 
     /// Testable core of [`SoakArgs::parse`].
-    pub fn from_slice(args: &[String], default_seed: u64) -> Self {
-        let seed = args
-            .iter()
-            .skip_while(|a| a.as_str() != "--seed")
-            .nth(1)
-            .map(|s| s.parse::<u64>().expect("--seed takes a u64"))
-            .unwrap_or(default_seed);
+    pub fn from_slice(args: &[String], default_seed: u64) -> Result<Self, ArgError> {
+        let seed = match args.iter().position(|a| a == "--seed") {
+            None => default_seed,
+            Some(i) => {
+                let value = args.get(i + 1).ok_or(ArgError::MissingSeed)?;
+                value
+                    .parse()
+                    .map_err(|_| ArgError::BadSeed(value.clone()))?
+            }
+        };
         let smoke = args.iter().any(|a| a == "--smoke");
-        SoakArgs { seed, smoke }
+        Ok(SoakArgs { seed, smoke })
     }
 }
 
@@ -71,10 +98,10 @@ mod tests {
         let a = SoakArgs::from_slice(&argv(&["soak"]), 0xABC);
         assert_eq!(
             a,
-            SoakArgs {
+            Ok(SoakArgs {
                 seed: 0xABC,
                 smoke: false
-            }
+            })
         );
     }
 
@@ -83,19 +110,30 @@ mod tests {
         let a = SoakArgs::from_slice(&argv(&["soak", "--smoke", "--seed", "42"]), 1);
         assert_eq!(
             a,
-            SoakArgs {
+            Ok(SoakArgs {
                 seed: 42,
                 smoke: true
-            }
+            })
         );
-        let b = SoakArgs::from_slice(&argv(&["soak", "--seed", "7"]), 1);
+        let b = SoakArgs::from_slice(&argv(&["soak", "--seed", "7"]), 1).unwrap();
         assert_eq!(b.seed, 7);
         assert!(!b.smoke);
     }
 
     #[test]
-    #[should_panic(expected = "--seed takes a u64")]
     fn a_malformed_seed_is_refused_loudly() {
-        SoakArgs::from_slice(&argv(&["soak", "--seed", "banana"]), 1);
+        assert_eq!(
+            SoakArgs::from_slice(&argv(&["soak", "--seed", "banana"]), 1),
+            Err(ArgError::BadSeed("banana".into()))
+        );
+    }
+
+    /// A trailing `--seed` is refused, not read as "use the default".
+    #[test]
+    fn a_trailing_seed_flag_is_a_typed_error() {
+        assert_eq!(
+            SoakArgs::from_slice(&argv(&["soak", "--smoke", "--seed"]), 1),
+            Err(ArgError::MissingSeed)
+        );
     }
 }

@@ -103,7 +103,7 @@ pub fn sweep_threads() -> usize {
 }
 
 pub use energy::{case_study_energy, collect_activity};
-pub use harness::{finish, SoakArgs};
+pub use harness::{finish, ArgError, SoakArgs};
 pub use hostperf::{measure_host, HostPerf, HostWorkload};
 pub use table2::{measure_table2, Table2};
 pub use timing::{bench, measure, Measurement};

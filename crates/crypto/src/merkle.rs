@@ -167,12 +167,25 @@ pub fn leaf_digest(block_index: u64, timestamp: u64, data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// Hash two children into their parent. The preimage `NODE_TAG ‖ left ‖
+/// right` is always 65 bytes, so it is laid out on the stack and its two
+/// padded blocks are compressed in one call.
 fn node_digest(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[NODE_TAG]);
-    h.update(left);
-    h.update(right);
-    h.finalize()
+    let mut blocks = [0u8; 128];
+    blocks[0] = NODE_TAG;
+    blocks[1..33].copy_from_slice(left);
+    blocks[33..65].copy_from_slice(right);
+    Sha256::new().finish(blocks, 65, 65 * 8)
+}
+
+/// The parent digest of `acc`, held at heap index `idx`, and its
+/// sibling `sib`: even indices are left children.
+fn parent_digest(idx: usize, acc: &Digest, sib: &Digest) -> Digest {
+    if idx.is_multiple_of(2) {
+        node_digest(acc, sib)
+    } else {
+        node_digest(sib, acc)
+    }
 }
 
 /// A binary hash tree with in-place leaf updates and membership proofs.
@@ -372,12 +385,7 @@ impl MerkleTree {
         let mut idx = self.capacity + i;
         let mut levels = 0u32;
         while idx > 1 {
-            let sib = self.nodes[idx ^ 1];
-            acc = if idx.is_multiple_of(2) {
-                node_digest(&acc, &sib)
-            } else {
-                node_digest(&sib, &acc)
-            };
+            acc = parent_digest(idx, &acc, &self.nodes[idx ^ 1]);
             levels += 1;
             idx /= 2;
             if idx > 1 {
@@ -437,21 +445,25 @@ impl MerkleTree {
         let mut acc = *leaf;
         let mut idx = i;
         for sib in proof {
-            acc = if idx.is_multiple_of(2) {
-                node_digest(&acc, sib)
-            } else {
-                node_digest(sib, &acc)
-            };
+            acc = parent_digest(idx, &acc, sib);
             idx /= 2;
         }
         acc == *root
     }
 
     /// Convenience: check a candidate digest for leaf `i` directly against
-    /// the tree (what the Integrity Core does on a read).
+    /// the tree (what the Integrity Core does on a read). The same walk as
+    /// [`MerkleTree::verify_proof`] over [`MerkleTree::proof`], reading
+    /// each sibling in place instead of collecting the proof first.
     pub fn verify_leaf(&self, i: usize, candidate: &Digest) -> bool {
-        let proof = self.proof(i);
-        Self::verify_proof(&self.root(), i, candidate, &proof)
+        assert!(i < self.leaves, "leaf index out of range");
+        let mut acc = *candidate;
+        let mut idx = self.capacity + i;
+        while idx > 1 {
+            acc = parent_digest(idx, &acc, &self.nodes[idx ^ 1]);
+            idx /= 2;
+        }
+        acc == self.root()
     }
 }
 

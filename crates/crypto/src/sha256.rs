@@ -125,17 +125,27 @@ impl Sha256 {
     }
 
     /// Finish and produce the digest.
-    pub fn finalize(mut self) -> Digest {
+    pub fn finalize(self) -> Digest {
+        let n = self.buffered;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
         let bit_len = self.total_bytes * 8;
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Manual length append (update would recount it).
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress_run(&block);
+        self.finish(tail, n, bit_len)
+    }
+
+    /// Pad the message's last `n` bytes, which sit at the front of an
+    /// otherwise zero `tail`, and produce the digest of a message of
+    /// `bit_len` bits in total. The padding is written in place: `0x80`,
+    /// the zero fill, then the 64-bit big-endian length. Up to 55 tail
+    /// bytes leave room for it in one block; from 56 on it spills into a
+    /// second. Either way one [`compress_run`](Self::compress_run)
+    /// dispatch compresses everything.
+    pub(crate) fn finish(mut self, mut tail: [u8; 128], n: usize, bit_len: u64) -> Digest {
+        debug_assert!(n < 120 && tail[n..].iter().all(|&b| b == 0));
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress_run(&tail[..len]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

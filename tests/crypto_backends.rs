@@ -2,16 +2,25 @@
 //! and software crypto backends must be bit-identical on every input shape
 //! a caller can produce — random keys, lengths and offsets, bursts whose
 //! tail is not a multiple of 16 bytes, bursts whose block count is not a
-//! multiple of the accelerator lane width, empty input, and SHA-256
-//! streams cut on and around the 64-byte compression boundary.
+//! multiple of the accelerator lane width, empty input, SHA-256 streams
+//! cut on and around the 64-byte compression boundary, and the LCF's
+//! single-block cipher, seal and rekey. Golden digests pin both backends
+//! to fixed bytes as well, for the code the two backends share.
 //!
 //! On hosts without AES-NI/SHA-NI the accel backend resolves to the same
 //! software path, so every assertion still holds (trivially); on hosts
 //! with the hardware this is the workspace-level proof that backend
 //! selection can never change an output byte.
 
+use secbus_core::{CryptoTiming, FirewallId, LocalCipheringFirewall};
+use secbus_crypto::merkle::leaf_digest;
 use secbus_crypto::sha256::Digest;
 use secbus_crypto::{sha256_with, Aes128, CryptoBackend, MemoryCipher, MerkleTree, Sha256};
+use secbus_mem::ExternalDdr;
+use secbus_soc::casestudy::{
+    lcf_policies, CIPHER_KEY, DDR_BASE, DDR_CIPHER_BASE, DDR_CIPHER_LEN, DDR_LEN, DDR_PRIVATE_BASE,
+    DDR_PRIVATE_LEN, DDR_PUBLIC_BASE, PRIVATE_KEY,
+};
 
 /// SplitMix64 — the integration-test crate keeps its own copy so the fuzz
 /// schedule is independent of the crypto crate's private test RNG.
@@ -222,4 +231,262 @@ fn merkle_roots_are_identical_for_any_backend_and_thread_count() {
             "verify_all rejected a genuine leaf"
         );
     }
+}
+
+/// Block indices on both sides of the counter's 32-bit low-word wrap,
+/// plus both ends of the addressable range.
+const WRAP_BLOCKS: [u64; 6] = [
+    0,
+    u32::MAX as u64 - 1,
+    u32::MAX as u64,
+    u32::MAX as u64 + 1,
+    u32::MAX as u64 + 2,
+    u64::MAX / 16,
+];
+
+/// The LCF's per-access path ciphers exactly one 16-byte block. Both
+/// backends must produce the keystream the spec defines for it:
+/// AES-128 over `block index ‖ timestamp` (big-endian), computed here on
+/// the soft single-block reference.
+#[test]
+fn single_block_apply_matches_across_backends() {
+    let mut rng = 0x5eed_cafe_0005u64;
+    for _ in 0..64 {
+        let key = random_key(&mut rng);
+        let reference = Aes128::with_backend(&key, CryptoBackend::Soft);
+        let random_block = splitmix64(&mut rng) >> 4;
+        for block in WRAP_BLOCKS.into_iter().chain([random_block]) {
+            let timestamp = splitmix64(&mut rng);
+            let mut plain = [0u8; 16];
+            fill(&mut rng, &mut plain);
+            let mut counter = [0u8; 16];
+            counter[..8].copy_from_slice(&block.to_be_bytes());
+            counter[8..].copy_from_slice(&timestamp.to_be_bytes());
+            let keystream = reference.encrypt(&counter);
+            let expect: Vec<u8> = plain.iter().zip(&keystream).map(|(p, k)| p ^ k).collect();
+            for backend in BACKENDS {
+                let mut buf = plain;
+                MemoryCipher::with_backend(&key, backend).apply(block * 16, timestamp, &mut buf);
+                assert_eq!(
+                    buf[..],
+                    expect[..],
+                    "block {block:#x} ts {timestamp:#x} on {}",
+                    backend.name()
+                );
+            }
+        }
+    }
+}
+
+/// Lowercase hex of a byte string.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The message behind the golden digests: 192 bytes of SplitMix64
+/// output from a fixed seed.
+fn golden_message() -> Vec<u8> {
+    let mut msg = vec![0u8; 192];
+    fill(&mut 0x601d_d16e_5700_0001u64, &mut msg);
+    msg
+}
+
+// The golden values below pin fixed bytes. The cross-backend checks
+// above compare soft against accel, so a bug in code the two backends
+// share (SHA-256 padding, the node-digest layout) passes them; it fails
+// these. CI runs this file once on the detected backend and once forced
+// soft, which pins the LCF-level values on both backends.
+
+/// SHA-256 of the SHA-256 digests of `golden_message()[..len]` for
+/// every `len` in `0..=192`, concatenated in order.
+const GOLDEN_SHA256_ALL_LENGTHS: &str =
+    "2911d3693312f26699ce1a7bfd4cf0f17d1b09fe662a651b932f0dbb2a23ae17";
+
+/// SHA-256 at every length up to three blocks. The padding splits sit
+/// at 55/56 (the length no longer fits the final block) and one block
+/// further at 119/120.
+#[test]
+fn sha256_digests_at_every_length_are_golden() {
+    let msg = golden_message();
+    for backend in BACKENDS {
+        let mut all = Sha256::with_backend(backend);
+        for len in 0..=msg.len() {
+            all.update(&sha256_with(&msg[..len], backend));
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            GOLDEN_SHA256_ALL_LENGTHS,
+            "{}",
+            backend.name()
+        );
+    }
+}
+
+/// Two leaf digests (one 33-byte and one 56-byte preimage, the second on
+/// the two-block padding split), then the root of the 2-leaf tree over
+/// them, which is exactly one interior-node digest.
+const GOLDEN_MERKLE: [&str; 3] = [
+    "5f65e2f7e5e9a3b89ef786dc960f94b056731f82277f4b1c8e48a9d2d9e1fde9",
+    "b314ef7a4aae65dcc8943e93bc93673482698e90e7103379a4476d124003996f",
+    "ee783e96125643511b840610afe43ed2412ebcdaf0dcdcf11ac483227bd77b42",
+];
+
+#[test]
+fn merkle_leaf_and_node_digests_are_golden() {
+    let msg = golden_message();
+    let a = leaf_digest(7, 3, &msg[..16]);
+    let b = leaf_digest(u64::MAX, u64::MAX - 1, &msg[16..55]);
+    let root = MerkleTree::build(&[a, b]).root();
+    assert_eq!([hex(&a), hex(&b), hex(&root)], GOLDEN_MERKLE);
+    // The same values from the spec on the soft reference hash.
+    assert_eq!(a, soft_leaf(7, 3, &msg[..16]));
+    assert_eq!(b, soft_leaf(u64::MAX, u64::MAX - 1, &msg[16..55]));
+    assert_eq!(root, soft_node(&a, &b));
+}
+
+/// Leaf digest from the spec, on the soft hash:
+/// `SHA-256(0x00 ‖ index ‖ timestamp ‖ data)`.
+fn soft_leaf(index: u64, timestamp: u64, data: &[u8]) -> Digest {
+    let mut preimage = vec![0x00];
+    preimage.extend_from_slice(&index.to_be_bytes());
+    preimage.extend_from_slice(&timestamp.to_be_bytes());
+    preimage.extend_from_slice(data);
+    sha256_with(&preimage, CryptoBackend::Soft)
+}
+
+/// Interior-node digest from the spec, on the soft hash:
+/// `SHA-256(0x01 ‖ left ‖ right)`.
+fn soft_node(left: &Digest, right: &Digest) -> Digest {
+    let mut preimage = vec![0x01];
+    preimage.extend_from_slice(left);
+    preimage.extend_from_slice(right);
+    sha256_with(&preimage, CryptoBackend::Soft)
+}
+
+/// Root of the hash tree over a power-of-two run of 16-byte blocks that
+/// all carry `timestamp`, from the spec on the soft hash.
+fn soft_root(region: &[u8], timestamp: u64) -> Digest {
+    let mut level: Vec<Digest> = region
+        .chunks_exact(16)
+        .enumerate()
+        .map(|(i, block)| soft_leaf(i as u64, timestamp, block))
+        .collect();
+    assert!(level.len().is_power_of_two());
+    while level.len() > 1 {
+        level = level
+            .chunks_exact(2)
+            .map(|pair| soft_node(&pair[0], &pair[1]))
+            .collect();
+    }
+    level[0]
+}
+
+/// The case study's DDR image before sealing: the public table cpu2
+/// sums holds 1..=32, everything else is zero.
+fn case_study_ddr() -> ExternalDdr {
+    let mut ddr = ExternalDdr::new(DDR_LEN);
+    for i in 0..32u32 {
+        ddr.load(DDR_PUBLIC_BASE - DDR_BASE + 4 * i, &(i + 1).to_le_bytes());
+    }
+    ddr
+}
+
+/// The case study's LCF over its DDR image, journaled so the region
+/// roots can be read back, and sealed.
+fn sealed_case_study_lcf() -> (LocalCipheringFirewall, ExternalDdr) {
+    let mut ddr = case_study_ddr();
+    let mut lcf = LocalCipheringFirewall::new(
+        FirewallId(0),
+        "LCF",
+        lcf_policies(),
+        DDR_BASE,
+        CryptoTiming::PAPER,
+    );
+    lcf.enable_journal(1, [0x5a; 16]);
+    lcf.seal(&mut ddr);
+    (lcf, ddr)
+}
+
+/// The verified (cipher + integrity) region's current root.
+fn verified_root(lcf: &mut LocalCipheringFirewall) -> Digest {
+    lcf.force_checkpoint();
+    let image = lcf.persistent_state().expect("journal is on").image;
+    let roots: Vec<Digest> = image.regions.iter().filter_map(|r| r.root).collect();
+    assert_eq!(roots.len(), 1, "the case study verifies one region");
+    roots[0]
+}
+
+/// The two ciphered regions of the case study and the keys they are
+/// rolled to.
+const CIPHERED: [(u32, u32, [u8; 16]); 2] = [
+    (DDR_PRIVATE_BASE, DDR_PRIVATE_LEN, *b"rolled-priv-key!"),
+    (DDR_CIPHER_BASE, DDR_CIPHER_LEN, *b"rolled-ciph-key!"),
+];
+
+/// SHA-256 of the DDR image and the verified root: after seal, then
+/// after both ciphered regions are rekeyed.
+const GOLDEN_CASE_STUDY: [&str; 4] = [
+    "6776904472d8bcf6d95e1fa7ebfb2453f833afb11d5a84dcad73d6870f5dbdf8",
+    "8a50ebfff14758b88b3e823642abafd26170913d4fa45fc135de5e7e232f1758",
+    "2edd21e20269bdc1634f35e0aaff4d394df22bc4ff0dc0734b91060b48ce596f",
+    "75d34b1bd3ec257314796390a123bbd268e0cd818cf285223dd294ecdeaec1a8",
+];
+
+#[test]
+fn case_study_seal_and_rekey_are_golden() {
+    let (mut lcf, mut ddr) = sealed_case_study_lcf();
+    let mut got = vec![
+        hex(&sha256_with(ddr.contents(), CryptoBackend::Soft)),
+        hex(&verified_root(&mut lcf)),
+    ];
+    for (base, _, key) in CIPHERED {
+        lcf.rekey(&mut ddr, base, key).expect("ciphered region");
+    }
+    got.push(hex(&sha256_with(ddr.contents(), CryptoBackend::Soft)));
+    got.push(hex(&verified_root(&mut lcf)));
+    assert_eq!(got, GOLDEN_CASE_STUDY);
+}
+
+/// Whatever backend the process runs on, the LCF's seal and rekey leave
+/// exactly the DDR bytes and root the soft reference computes block by
+/// block: each ciphered block is the plaintext XOR its single-block
+/// keystream under the region's key at timestamp 0.
+#[test]
+fn lcf_seal_and_rekey_match_the_soft_reference() {
+    let plain = case_study_ddr().contents().to_vec();
+    let expected_image = |keys: [[u8; 16]; 2]| {
+        let mut image = plain.clone();
+        for ((base, len, _), key) in CIPHERED.into_iter().zip(keys) {
+            let cipher = MemoryCipher::with_backend(&key, CryptoBackend::Soft);
+            let off = (base - DDR_BASE) as usize;
+            for (i, block) in image[off..off + len as usize]
+                .chunks_exact_mut(16)
+                .enumerate()
+            {
+                cipher.apply(u64::from(base) + 16 * i as u64, 0, block);
+            }
+        }
+        image
+    };
+    let private = (DDR_PRIVATE_BASE - DDR_BASE) as usize
+        ..(DDR_PRIVATE_BASE - DDR_BASE + DDR_PRIVATE_LEN) as usize;
+
+    let (mut lcf, mut ddr) = sealed_case_study_lcf();
+    assert_eq!(
+        ddr.contents(),
+        &expected_image([PRIVATE_KEY, CIPHER_KEY])[..]
+    );
+    assert_eq!(
+        verified_root(&mut lcf),
+        soft_root(&ddr.contents()[private.clone()], 0)
+    );
+
+    for (base, _, key) in CIPHERED {
+        lcf.rekey(&mut ddr, base, key).expect("ciphered region");
+    }
+    assert_eq!(ddr.contents(), &expected_image(CIPHERED.map(|c| c.2))[..]);
+    assert_eq!(
+        verified_root(&mut lcf),
+        soft_root(&ddr.contents()[private], 0)
+    );
 }
