@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use secbus_sim::{Cycle, EventLog, Stats, TraceEvent, Tracer};
+use secbus_sim::{stat_keys, Cycle, EventLog, Stats, TraceEvent, Tracer};
 
 use crate::addrmap::{AddrRange, AddressMap, OverlapError};
 use crate::arbiter::Arbiter;
@@ -58,6 +58,29 @@ impl Default for BusConfig {
             master_queue_capacity: 64,
             slave_queue_capacity: 16,
         }
+    }
+}
+
+stat_keys! {
+    /// The bus counters bumped per cycle, per issue or per grant, kept
+    /// in fixed [`Stats`] slots.
+    pub enum BusCounter {
+        BackpressureStalls => "bus.backpressure_stalls",
+        BusyCycles => "bus.busy_cycles",
+        Cancelled => "bus.cancelled",
+        Completions => "bus.completions",
+        ContendedCycles => "bus.contended_cycles",
+        Grants => "bus.grants",
+        IssueRefused => "bus.issue_refused",
+        Issued => "bus.issued",
+    }
+}
+
+stat_keys! {
+    /// The bus histograms recorded per grant, kept in fixed [`Stats`]
+    /// slots.
+    pub enum BusHistogram {
+        GrantWait => "bus.grant_wait",
     }
 }
 
@@ -120,6 +143,8 @@ pub struct SharedBus {
     busy_until: u64,
     next_id: u64,
     stats: Stats,
+    /// Arbitration candidates, rebuilt in place on every grant attempt.
+    requesting: Vec<MasterId>,
     trace: BusTrace,
     /// Fault injection: the next grant is consumed but never delivered.
     lose_next_grant: bool,
@@ -145,7 +170,8 @@ impl SharedBus {
             inflight: Vec::new(),
             busy_until: 0,
             next_id: 0,
-            stats: Stats::new(),
+            stats: Stats::slotted(BusCounter::KEYS, BusHistogram::KEYS),
+            requesting: Vec::new(),
             lose_next_grant: false,
             corrupt_next_response: None,
             orphans: Vec::new(),
@@ -255,7 +281,7 @@ impl SharedBus {
     ) -> Option<TxnId> {
         let queue = &self.masters[master.0 as usize].requests;
         if queue.len() >= self.config.master_queue_capacity {
-            self.stats.incr("bus.issue_refused");
+            self.stats.incr_slot(BusCounter::IssueRefused);
             return None;
         }
         let id = self.alloc_txn_id();
@@ -272,7 +298,7 @@ impl SharedBus {
         self.masters[master.0 as usize]
             .requests
             .push_back((ready_at, txn));
-        self.stats.incr("bus.issued");
+        self.stats.incr_slot(BusCounter::Issued);
         Some(id)
     }
 
@@ -390,7 +416,7 @@ impl SharedBus {
         for slave in &mut self.slaves {
             slave.inbox.retain(|t| t.id != txn);
         }
-        self.stats.incr("bus.cancelled");
+        self.stats.incr_slot(BusCounter::Cancelled);
         Some(master)
     }
 
@@ -410,13 +436,13 @@ impl SharedBus {
                     self.stats.incr("bus.fault.corrupted_responses");
                 }
                 self.masters[master.0 as usize].responses.push_back(resp);
-                self.stats.incr("bus.completions");
+                self.stats.incr_slot(BusCounter::Completions);
             }
         }
 
         // 2. Data phase still occupying the bus?
         if now.get() < self.busy_until {
-            self.stats.incr("bus.busy_cycles");
+            self.stats.incr_slot(BusCounter::BusyCycles);
             return;
         }
 
@@ -426,36 +452,29 @@ impl SharedBus {
         // request waits at the master's queue, never dropped); decode
         // misses stay eligible because they complete immediately.
         let mut backpressured = false;
-        let requesting: Vec<MasterId> = self
-            .masters
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| {
-                let Some((ready, txn)) = m.requests.front() else {
-                    return false;
-                };
-                if *ready > now {
-                    return false;
+        self.requesting.clear();
+        for (i, m) in self.masters.iter().enumerate() {
+            let Some((ready, txn)) = m.requests.front() else {
+                continue;
+            };
+            if *ready > now {
+                continue;
+            }
+            if let Some(slave) = self.map.decode(txn.addr) {
+                if self.slaves[slave.0 as usize].inbox.len() >= self.config.slave_queue_capacity {
+                    backpressured = true;
+                    continue;
                 }
-                match self.map.decode(txn.addr) {
-                    Some(slave) => {
-                        let ok = self.slaves[slave.0 as usize].inbox.len()
-                            < self.config.slave_queue_capacity;
-                        backpressured |= !ok;
-                        ok
-                    }
-                    None => true,
-                }
-            })
-            .map(|(i, _)| MasterId(i as u8))
-            .collect();
+            }
+            self.requesting.push(MasterId(i as u8));
+        }
         if backpressured {
-            self.stats.incr("bus.backpressure_stalls");
+            self.stats.incr_slot(BusCounter::BackpressureStalls);
         }
-        if requesting.len() > 1 {
-            self.stats.add("bus.contended_cycles", 1);
+        if self.requesting.len() > 1 {
+            self.stats.incr_slot(BusCounter::ContendedCycles);
         }
-        let Some(winner) = self.arbiter.grant(&requesting, now) else {
+        let Some(winner) = self.arbiter.grant(&self.requesting, now) else {
             return;
         };
         // A defective arbiter can name a master outside the requesting
@@ -481,9 +500,9 @@ impl SharedBus {
             self.busy_until = now.get() + self.config.grant_cycles;
             return;
         }
-        self.stats.incr("bus.grants");
+        self.stats.incr_slot(BusCounter::Grants);
         let wait = now.saturating_since(txn.issued_at);
-        self.stats.record("bus.grant_wait", wait);
+        self.stats.record_slot(BusHistogram::GrantWait, wait);
         if let Some(t) = &self.tracer {
             t.record(
                 now,
@@ -566,7 +585,7 @@ impl SharedBus {
     pub fn fast_forward(&mut self, from: Cycle, to: Cycle) {
         let busy = to.get().min(self.busy_until).saturating_sub(from.get());
         if busy > 0 {
-            self.stats.add("bus.busy_cycles", busy);
+            self.stats.add_slot(BusCounter::BusyCycles, busy);
         }
     }
 

@@ -26,5 +26,7 @@ pub mod txn;
 
 pub use addrmap::{AddrRange, AddressMap};
 pub use arbiter::{Arbiter, FixedPriority, RoundRobin, Tdma};
-pub use bus::{BusConfig, BusQuiet, BusTrace, OrphanCompletion, SharedBus};
+pub use bus::{
+    BusConfig, BusCounter, BusHistogram, BusQuiet, BusTrace, OrphanCompletion, SharedBus,
+};
 pub use txn::{BusError, MasterId, Op, Response, SlaveId, Transaction, TxnId, Width};

@@ -13,7 +13,7 @@
 //! trail.
 
 use secbus_bus::{Transaction, TxnId};
-use secbus_sim::{Cycle, EventLog, Stats, TraceEvent, Tracer};
+use secbus_sim::{stat_keys, Cycle, EventLog, Stats, TraceEvent, Tracer};
 
 use crate::checker::Violation;
 use crate::firewall::FirewallId;
@@ -61,6 +61,50 @@ pub struct WatchdogExpiry {
     pub firewall: Option<FirewallId>,
 }
 
+stat_keys! {
+    /// The monitor's per-alert counters and one counter per [`Violation`]
+    /// (see [`MonitorCounter::violation`]), kept in fixed [`Stats`] slots.
+    pub enum MonitorCounter {
+        Alerts => "monitor.alerts",
+        Blocks => "monitor.blocks",
+        BadFormat => "monitor.violation.bad_format",
+        ConfigCorruption => "monitor.violation.config_corruption",
+        Integrity => "monitor.violation.integrity",
+        IpBlocked => "monitor.violation.ip_blocked",
+        Misaligned => "monitor.violation.misaligned",
+        NoPolicy => "monitor.violation.no_policy",
+        RateLimited => "monitor.violation.rate_limited",
+        RegionOverrun => "monitor.violation.region_overrun",
+        Shed => "monitor.violation.shed",
+        TaintedSink => "monitor.violation.tainted_sink",
+        UnauthRead => "monitor.violation.unauth_read",
+        UnauthWrite => "monitor.violation.unauth_write",
+        WatchdogTimeout => "monitor.violation.watchdog_timeout",
+        WatchdogTimeouts => "monitor.watchdog_timeouts",
+    }
+}
+
+impl MonitorCounter {
+    /// The slot counting `v` (`monitor.violation.<mnemonic>`).
+    pub fn violation(v: Violation) -> Self {
+        match v {
+            Violation::NoPolicy => MonitorCounter::NoPolicy,
+            Violation::UnauthorizedRead => MonitorCounter::UnauthRead,
+            Violation::UnauthorizedWrite => MonitorCounter::UnauthWrite,
+            Violation::FormatViolation => MonitorCounter::BadFormat,
+            Violation::RegionOverrun => MonitorCounter::RegionOverrun,
+            Violation::Misaligned => MonitorCounter::Misaligned,
+            Violation::IntegrityMismatch => MonitorCounter::Integrity,
+            Violation::IpBlocked => MonitorCounter::IpBlocked,
+            Violation::RateLimited => MonitorCounter::RateLimited,
+            Violation::WatchdogTimeout => MonitorCounter::WatchdogTimeout,
+            Violation::ConfigCorruption => MonitorCounter::ConfigCorruption,
+            Violation::TaintedSink => MonitorCounter::TaintedSink,
+            Violation::Shed => MonitorCounter::Shed,
+        }
+    }
+}
+
 /// Aggregates alerts from every firewall and applies an escalation policy.
 #[derive(Debug)]
 pub struct SecurityMonitor {
@@ -94,7 +138,7 @@ impl SecurityMonitor {
     pub fn new(block_threshold: u64) -> Self {
         SecurityMonitor {
             log: EventLog::new(4096),
-            stats: Stats::new(),
+            stats: Stats::slotted(MonitorCounter::KEYS, &[]),
             per_firewall: Vec::new(),
             alerts_total: Vec::new(),
             tracer: None,
@@ -162,6 +206,11 @@ impl SecurityMonitor {
     /// watch order. The caller turns each expiry into a cancellation plus
     /// a [`Violation::WatchdogTimeout`] alert.
     pub fn expire(&mut self, now: Cycle) -> Vec<WatchdogExpiry> {
+        // Nothing due (every tick of a healthy run): no allocation, and
+        // the watch list is left untouched.
+        if !self.watched.iter().any(|&(deadline, _, _)| deadline <= now) {
+            return Vec::new();
+        }
         let mut expired = Vec::new();
         self.watched.retain(|&(deadline, txn, firewall)| {
             if deadline <= now {
@@ -171,13 +220,12 @@ impl SecurityMonitor {
                 true
             }
         });
-        // Only record when something actually expired: materializing a
-        // zero-valued key on every watchdog-armed tick would make
-        // otherwise-identical metrics snapshots differ by key set.
-        if !expired.is_empty() {
-            self.stats
-                .add("monitor.watchdog_timeouts", expired.len() as u64);
-        }
+        // Only reached when something expired: writing the slot, even
+        // with 0, makes the key visible, and materializing it on every
+        // watchdog-armed tick would make otherwise-identical metrics
+        // snapshots differ by key set.
+        self.stats
+            .add_slot(MonitorCounter::WatchdogTimeouts, expired.len() as u64);
         expired
     }
 
@@ -215,16 +263,15 @@ impl SecurityMonitor {
         if offense {
             self.per_firewall[idx] += 1;
         }
-        self.stats.incr("monitor.alerts");
-        // Precomputed full key: this is the per-alert hot path and a
-        // `format!` here showed up in the chaos-soak profile.
-        self.stats.incr(alert.violation.monitor_key());
+        self.stats.incr_slot(MonitorCounter::Alerts);
+        self.stats
+            .incr_slot(MonitorCounter::violation(alert.violation));
         let at = alert.at;
         let fw = alert.firewall;
         self.log.push(at, alert);
 
         if offense && self.block_threshold > 0 && self.per_firewall[idx] >= self.block_threshold {
-            self.stats.incr("monitor.blocks");
+            self.stats.incr_slot(MonitorCounter::Blocks);
             match self.quarantine_cycles {
                 Some(q) => {
                     // Fresh violation budget after release.
@@ -263,7 +310,7 @@ impl SecurityMonitor {
 
     /// Total alerts observed.
     pub fn alert_count(&self) -> u64 {
-        self.stats.counter("monitor.alerts")
+        self.stats.counter_slot(MonitorCounter::Alerts)
     }
 
     /// Alerts observed from one firewall: a monotonic audit total that
@@ -584,26 +631,13 @@ mod tests {
     /// produced, for every variant (metrics-key compatibility).
     #[test]
     fn static_violation_keys_match_format() {
-        for v in [
-            Violation::NoPolicy,
-            Violation::UnauthorizedRead,
-            Violation::UnauthorizedWrite,
-            Violation::FormatViolation,
-            Violation::RegionOverrun,
-            Violation::Misaligned,
-            Violation::IntegrityMismatch,
-            Violation::IpBlocked,
-            Violation::RateLimited,
-            Violation::WatchdogTimeout,
-            Violation::ConfigCorruption,
-            Violation::TaintedSink,
-            Violation::Shed,
-        ] {
+        for v in Violation::ALL {
             assert_eq!(
                 v.monitor_key(),
                 format!("monitor.violation.{}", v.mnemonic())
             );
             assert_eq!(v.fw_key(), format!("fw.violation.{}", v.mnemonic()));
+            assert_eq!(v.ni_key(), format!("ni.violation.{}", v.mnemonic()));
         }
     }
 

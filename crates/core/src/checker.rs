@@ -13,8 +13,11 @@
 
 use core::fmt;
 
+use crate::alert::MonitorCounter;
+use crate::firewall::FwCounter;
 use crate::policy::SecurityPolicy;
 use secbus_bus::Transaction;
+use secbus_sim::StatKey;
 
 /// A security-rule violation, as reported on the alert signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,45 +87,54 @@ impl Violation {
         }
     }
 
-    /// Full monitor stats key (`monitor.violation.<mnemonic>`),
-    /// precomputed so the per-alert hot path never allocates.
+    /// Full monitor stats key (`monitor.violation.<mnemonic>`), the
+    /// name of its [`MonitorCounter`] slot.
     pub fn monitor_key(self) -> &'static str {
+        MonitorCounter::violation(self).key()
+    }
+
+    /// Full firewall stats key (`fw.violation.<mnemonic>`), the name of
+    /// its [`FwCounter`] slot.
+    pub fn fw_key(self) -> &'static str {
+        FwCounter::violation(self).key()
+    }
+
+    /// Full NoC network-interface stats key (`ni.violation.<mnemonic>`),
+    /// precomputed so the packet-rejection path never allocates.
+    pub fn ni_key(self) -> &'static str {
         match self {
-            Violation::NoPolicy => "monitor.violation.no_policy",
-            Violation::UnauthorizedRead => "monitor.violation.unauth_read",
-            Violation::UnauthorizedWrite => "monitor.violation.unauth_write",
-            Violation::FormatViolation => "monitor.violation.bad_format",
-            Violation::RegionOverrun => "monitor.violation.region_overrun",
-            Violation::Misaligned => "monitor.violation.misaligned",
-            Violation::IntegrityMismatch => "monitor.violation.integrity",
-            Violation::IpBlocked => "monitor.violation.ip_blocked",
-            Violation::RateLimited => "monitor.violation.rate_limited",
-            Violation::WatchdogTimeout => "monitor.violation.watchdog_timeout",
-            Violation::ConfigCorruption => "monitor.violation.config_corruption",
-            Violation::TaintedSink => "monitor.violation.tainted_sink",
-            Violation::Shed => "monitor.violation.shed",
+            Violation::NoPolicy => "ni.violation.no_policy",
+            Violation::UnauthorizedRead => "ni.violation.unauth_read",
+            Violation::UnauthorizedWrite => "ni.violation.unauth_write",
+            Violation::FormatViolation => "ni.violation.bad_format",
+            Violation::RegionOverrun => "ni.violation.region_overrun",
+            Violation::Misaligned => "ni.violation.misaligned",
+            Violation::IntegrityMismatch => "ni.violation.integrity",
+            Violation::IpBlocked => "ni.violation.ip_blocked",
+            Violation::RateLimited => "ni.violation.rate_limited",
+            Violation::WatchdogTimeout => "ni.violation.watchdog_timeout",
+            Violation::ConfigCorruption => "ni.violation.config_corruption",
+            Violation::TaintedSink => "ni.violation.tainted_sink",
+            Violation::Shed => "ni.violation.shed",
         }
     }
 
-    /// Full firewall stats key (`fw.violation.<mnemonic>`), precomputed
-    /// for the same reason as [`Violation::monitor_key`].
-    pub fn fw_key(self) -> &'static str {
-        match self {
-            Violation::NoPolicy => "fw.violation.no_policy",
-            Violation::UnauthorizedRead => "fw.violation.unauth_read",
-            Violation::UnauthorizedWrite => "fw.violation.unauth_write",
-            Violation::FormatViolation => "fw.violation.bad_format",
-            Violation::RegionOverrun => "fw.violation.region_overrun",
-            Violation::Misaligned => "fw.violation.misaligned",
-            Violation::IntegrityMismatch => "fw.violation.integrity",
-            Violation::IpBlocked => "fw.violation.ip_blocked",
-            Violation::RateLimited => "fw.violation.rate_limited",
-            Violation::WatchdogTimeout => "fw.violation.watchdog_timeout",
-            Violation::ConfigCorruption => "fw.violation.config_corruption",
-            Violation::TaintedSink => "fw.violation.tainted_sink",
-            Violation::Shed => "fw.violation.shed",
-        }
-    }
+    /// Every violation, in declaration order.
+    pub const ALL: [Violation; 13] = [
+        Violation::NoPolicy,
+        Violation::UnauthorizedRead,
+        Violation::UnauthorizedWrite,
+        Violation::FormatViolation,
+        Violation::RegionOverrun,
+        Violation::Misaligned,
+        Violation::IntegrityMismatch,
+        Violation::IpBlocked,
+        Violation::RateLimited,
+        Violation::WatchdogTimeout,
+        Violation::ConfigCorruption,
+        Violation::TaintedSink,
+        Violation::Shed,
+    ];
 }
 
 impl fmt::Display for Violation {

@@ -21,7 +21,7 @@ use crate::alert::Alert;
 use crate::checker::{check_all, CheckOutcome, Violation};
 use crate::config::ConfigMemory;
 use secbus_bus::Transaction;
-use secbus_sim::{Cycle, Stats, TraceEvent, Tracer};
+use secbus_sim::{stat_keys, Cycle, Stats, TraceEvent, Tracer};
 
 /// Identifies a firewall instance (the `firewall_id` signal of Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -111,6 +111,52 @@ pub struct Decision {
     pub violation: Option<Violation>,
 }
 
+stat_keys! {
+    /// The Local Firewall's per-check counters and one counter per
+    /// [`Violation`] (see [`FwCounter::violation`]), kept in fixed
+    /// [`Stats`] slots.
+    pub enum FwCounter {
+        Checked => "fw.checked",
+        Discarded => "fw.discarded",
+        ParityRepairs => "fw.parity_repairs",
+        Passed => "fw.passed",
+        BadFormat => "fw.violation.bad_format",
+        ConfigCorruption => "fw.violation.config_corruption",
+        Integrity => "fw.violation.integrity",
+        IpBlocked => "fw.violation.ip_blocked",
+        Misaligned => "fw.violation.misaligned",
+        NoPolicy => "fw.violation.no_policy",
+        RateLimited => "fw.violation.rate_limited",
+        RegionOverrun => "fw.violation.region_overrun",
+        Shed => "fw.violation.shed",
+        TaintedSink => "fw.violation.tainted_sink",
+        UnauthRead => "fw.violation.unauth_read",
+        UnauthWrite => "fw.violation.unauth_write",
+        WatchdogTimeout => "fw.violation.watchdog_timeout",
+    }
+}
+
+impl FwCounter {
+    /// The slot counting `v` (`fw.violation.<mnemonic>`).
+    pub fn violation(v: Violation) -> Self {
+        match v {
+            Violation::NoPolicy => FwCounter::NoPolicy,
+            Violation::UnauthorizedRead => FwCounter::UnauthRead,
+            Violation::UnauthorizedWrite => FwCounter::UnauthWrite,
+            Violation::FormatViolation => FwCounter::BadFormat,
+            Violation::RegionOverrun => FwCounter::RegionOverrun,
+            Violation::Misaligned => FwCounter::Misaligned,
+            Violation::IntegrityMismatch => FwCounter::Integrity,
+            Violation::IpBlocked => FwCounter::IpBlocked,
+            Violation::RateLimited => FwCounter::RateLimited,
+            Violation::WatchdogTimeout => FwCounter::WatchdogTimeout,
+            Violation::ConfigCorruption => FwCounter::ConfigCorruption,
+            Violation::TaintedSink => FwCounter::TaintedSink,
+            Violation::Shed => FwCounter::Shed,
+        }
+    }
+}
+
 /// A Local Firewall instance.
 #[derive(Debug)]
 pub struct LocalFirewall {
@@ -142,7 +188,7 @@ impl LocalFirewall {
             rate_limit: None,
             window_start: 0,
             window_count: 0,
-            stats: Stats::new(),
+            stats: Stats::slotted(FwCounter::KEYS, &[]),
             pending_alerts: Vec::new(),
             last_policy: 0,
             tracer: None,
@@ -189,14 +235,15 @@ impl LocalFirewall {
     /// "before reaching the bus") and inbound (bus → IP, checked "before
     /// reaching the IP").
     pub fn check(&mut self, txn: &Transaction, now: Cycle) -> Decision {
-        self.stats.incr("fw.checked");
+        self.stats.incr_slot(FwCounter::Checked);
         // Parity-scrub the Configuration Memory ahead of the lookup: a
         // storage upset must never be *enforced*. Repairs re-fetch from
         // the golden image and raise an informational alert (the monitor
         // does not hold environment faults against the IP).
         let repaired = self.config.scrub();
         if repaired > 0 {
-            self.stats.add("fw.parity_repairs", repaired as u64);
+            self.stats
+                .add_slot(FwCounter::ParityRepairs, repaired as u64);
             self.raise_alert(txn, Violation::ConfigCorruption, now);
         }
         if self.blocked {
@@ -221,7 +268,7 @@ impl LocalFirewall {
         };
         match outcome {
             CheckOutcome::Pass => {
-                self.stats.incr("fw.passed");
+                self.stats.incr_slot(FwCounter::Passed);
                 if let Some(t) = &self.tracer {
                     t.record(
                         now,
@@ -244,9 +291,8 @@ impl LocalFirewall {
     }
 
     fn deny(&mut self, txn: &Transaction, v: Violation, latency: u64, now: Cycle) -> Decision {
-        self.stats.incr("fw.discarded");
-        // Precomputed full key: `deny` is on the per-transaction hot path.
-        self.stats.incr(v.fw_key());
+        self.stats.incr_slot(FwCounter::Discarded);
+        self.stats.incr_slot(FwCounter::violation(v));
         if let Some(t) = &self.tracer {
             t.record(
                 now,
@@ -289,7 +335,7 @@ impl LocalFirewall {
     /// (parity repairs, watchdog cancellations, degraded serves) that must
     /// reach the monitor's audit trail but are not themselves discards.
     pub fn raise_alert(&mut self, txn: &Transaction, v: Violation, now: Cycle) {
-        self.stats.incr(v.fw_key());
+        self.stats.incr_slot(FwCounter::violation(v));
         if let Some(t) = &self.tracer {
             t.record(
                 now,
@@ -327,6 +373,13 @@ impl LocalFirewall {
     /// the monitor each cycle).
     pub fn drain_alerts(&mut self) -> Vec<Alert> {
         std::mem::take(&mut self.pending_alerts)
+    }
+
+    /// Move the alerts raised since the last drain onto the end of `out`,
+    /// in raise order. Both buffers keep their capacity, so a per-cycle
+    /// drain into a reused buffer does not allocate.
+    pub fn drain_alerts_into(&mut self, out: &mut Vec<Alert>) {
+        out.append(&mut self.pending_alerts);
     }
 
     /// Whether alerts are waiting to be drained (event-core skip check;

@@ -35,7 +35,7 @@ use secbus_crypto::{
     RegionImage, SecureStateImage, TimestampTable, WriteAheadJournal,
 };
 use secbus_mem::{ExternalDdr, MemDevice};
-use secbus_sim::{Cycle, Stats, TraceEvent, Tracer};
+use secbus_sim::{stat_keys, Cycle, Stats, TraceEvent, Tracer};
 
 use crate::alert::Alert;
 use crate::checker::Violation;
@@ -224,6 +224,31 @@ struct JournalState {
     counter: MonotonicCounter,
 }
 
+stat_keys! {
+    /// The LCF's per-access crypto and journal counters, kept in fixed
+    /// [`Stats`] slots.
+    pub enum LcfCounter {
+        BrownoutSkippedVerifies => "lcf.brownout_skipped_verifies",
+        CcBytesCiphered => "lcf.cc_bytes_ciphered",
+        IcCacheHits => "lcf.ic_cache_hits",
+        IcCacheMisses => "lcf.ic_cache_misses",
+        IcCycles => "lcf.ic_cycles",
+        IcCyclesSaved => "lcf.ic_cycles_saved",
+        JournalAppends => "lcf.journal_appends",
+        JournalCommits => "lcf.journal_commits",
+        ProtectedReads => "lcf.protected_reads",
+        ProtectedWrites => "lcf.protected_writes",
+        UnprotectedAccesses => "lcf.unprotected_accesses",
+    }
+}
+
+stat_keys! {
+    /// The LCF's per-access histograms, kept in fixed [`Stats`] slots.
+    pub enum LcfHistogram {
+        IcVerifyCycles => "lcf.ic_verify_cycles",
+    }
+}
+
 /// The Local Ciphering Firewall guarding the external memory.
 pub struct LocalCipheringFirewall {
     fw: LocalFirewall,
@@ -320,7 +345,7 @@ impl LocalCipheringFirewall {
             ddr_base,
             regions,
             sealed: false,
-            stats: Stats::new(),
+            stats: Stats::slotted(LcfCounter::KEYS, LcfHistogram::KEYS),
             ic_glitch: false,
             cc_glitch: false,
             journal: None,
@@ -623,7 +648,7 @@ impl LocalCipheringFirewall {
         // verification with no rebuild, and a tamper landed during the
         // brownout fails the first post-brownout verify of its block.
         if region.protection == Protection::CipherIntegrity && self.brownout {
-            self.stats.incr("lcf.brownout_skipped_verifies");
+            self.stats.incr_slot(LcfCounter::BrownoutSkippedVerifies);
         } else if region.protection == Protection::CipherIntegrity {
             let expected = leaf_digest(block_idx as u64, ts, &block);
             let tree = region.tree.as_ref().expect("integrity region has a tree");
@@ -631,10 +656,10 @@ impl LocalCipheringFirewall {
             let (raw_verdict, levels, cache_hit) = match region.ic_cache.as_mut() {
                 Some(cache) => {
                     let v = tree.verify_leaf_cached(block_idx, &expected, cache);
-                    self.stats.incr(if v.cache_hit {
-                        "lcf.ic_cache_hits"
+                    self.stats.incr_slot(if v.cache_hit {
+                        LcfCounter::IcCacheHits
                     } else {
-                        "lcf.ic_cache_misses"
+                        LcfCounter::IcCacheMisses
                     });
                     (v.verified, v.levels_hashed, v.cache_hit)
                 }
@@ -642,8 +667,9 @@ impl LocalCipheringFirewall {
             };
             let charged = self.timing.ic_verify_cycles(levels);
             latency += charged;
-            self.stats.add("lcf.ic_cycles", charged);
-            self.stats.record("lcf.ic_verify_cycles", charged);
+            self.stats.add_slot(LcfCounter::IcCycles, charged);
+            self.stats
+                .record_slot(LcfHistogram::IcVerifyCycles, charged);
             if let Some(t) = &self.tracer {
                 t.record(
                     now,
@@ -655,8 +681,8 @@ impl LocalCipheringFirewall {
                 );
             }
             if region.ic_cache.is_some() {
-                self.stats.add(
-                    "lcf.ic_cycles_saved",
+                self.stats.add_slot(
+                    LcfCounter::IcCyclesSaved,
                     self.timing.ic_verify_cycles(full_levels) - charged,
                 );
             }
@@ -704,7 +730,7 @@ impl LocalCipheringFirewall {
         let mut plain = block;
         cipher.apply(u64::from(block_bus_addr), ts, &mut plain);
         self.stats
-            .add("lcf.cc_bytes_ciphered", u64::from(PROTECTION_BLOCK));
+            .add_slot(LcfCounter::CcBytesCiphered, u64::from(PROTECTION_BLOCK));
         if self.cc_glitch {
             // Transient CC mis-computation: the decrypted block is garbled.
             self.cc_glitch = false;
@@ -720,7 +746,7 @@ impl LocalCipheringFirewall {
                 let mut raw = [0u8; 4];
                 let n = txn.width.bytes() as usize;
                 raw[..n].copy_from_slice(&plain[offset_in_block..offset_in_block + n]);
-                self.stats.incr("lcf.protected_reads");
+                self.stats.incr_slot(LcfCounter::ProtectedReads);
                 Ok(LcfAccess {
                     data: u32::from_le_bytes(raw),
                     latency,
@@ -735,7 +761,7 @@ impl LocalCipheringFirewall {
                 block = plain;
                 cipher.apply(u64::from(block_bus_addr), new_ts, &mut block);
                 self.stats
-                    .add("lcf.cc_bytes_ciphered", u64::from(PROTECTION_BLOCK));
+                    .add_slot(LcfCounter::CcBytesCiphered, u64::from(PROTECTION_BLOCK));
                 latency += self.timing.cc_latency; // re-encryption pass
                 if let Some(t) = &self.tracer {
                     t.record(
@@ -762,11 +788,12 @@ impl LocalCipheringFirewall {
                     };
                     let charged = self.timing.ic_verify_cycles(levels);
                     latency += charged;
-                    self.stats.add("lcf.ic_cycles", charged);
-                    self.stats.record("lcf.ic_verify_cycles", charged);
+                    self.stats.add_slot(LcfCounter::IcCycles, charged);
+                    self.stats
+                        .record_slot(LcfHistogram::IcVerifyCycles, charged);
                     if region.ic_cache.is_some() {
-                        self.stats.add(
-                            "lcf.ic_cycles_saved",
+                        self.stats.add_slot(
+                            LcfCounter::IcCyclesSaved,
                             self.timing.ic_verify_cycles(full_levels) - charged,
                         );
                     }
@@ -796,7 +823,7 @@ impl LocalCipheringFirewall {
                             new_root,
                         });
                         latency += JOURNAL_PERSIST_CYCLES;
-                        self.stats.incr("lcf.journal_appends");
+                        self.stats.incr_slot(LcfCounter::JournalAppends);
                         Some(id)
                     }
                     None => None,
@@ -822,7 +849,7 @@ impl LocalCipheringFirewall {
                     js.journal.commit(id);
                     js.commits_since += 1;
                     latency += JOURNAL_PERSIST_CYCLES;
-                    self.stats.incr("lcf.journal_commits");
+                    self.stats.incr_slot(LcfCounter::JournalCommits);
                     if let Some(t) = &self.tracer {
                         t.record(now, TraceEvent::JournalCommit { txn: txn.id.0 });
                     }
@@ -832,7 +859,7 @@ impl LocalCipheringFirewall {
                     }
                 }
 
-                self.stats.incr("lcf.protected_writes");
+                self.stats.incr_slot(LcfCounter::ProtectedWrites);
                 Ok(LcfAccess { data: 0, latency })
             }
         }
@@ -847,7 +874,7 @@ impl LocalCipheringFirewall {
         use secbus_mem::MemDevice;
         let dev_off = txn.addr - self.ddr_base;
         latency += ddr.latency(dev_off, txn.op == Op::Write);
-        self.stats.incr("lcf.unprotected_accesses");
+        self.stats.incr_slot(LcfCounter::UnprotectedAccesses);
         match txn.op {
             Op::Read => match ddr.read(dev_off, txn.width) {
                 Ok(data) => Ok(LcfAccess { data, latency }),
@@ -1308,6 +1335,12 @@ impl LocalCipheringFirewall {
     /// Alerts raised since the last drain (policy + integrity).
     pub fn drain_alerts(&mut self) -> Vec<Alert> {
         self.fw.drain_alerts()
+    }
+
+    /// Move the embedded firewall's pending alerts onto the end of `out`
+    /// (see [`LocalFirewall::drain_alerts_into`]).
+    pub fn drain_alerts_into(&mut self, out: &mut Vec<Alert>) {
+        self.fw.drain_alerts_into(out);
     }
 
     /// Whether alerts are waiting to be drained (event-core skip check).

@@ -39,13 +39,13 @@ pub mod recovery;
 pub mod taint;
 pub mod thread_policy;
 
-pub use alert::{Alert, Reaction, SecurityMonitor, WatchdogExpiry};
+pub use alert::{Alert, MonitorCounter, Reaction, SecurityMonitor, WatchdogExpiry};
 pub use checker::{CheckOutcome, Violation};
 pub use config::ConfigMemory;
-pub use firewall::{Decision, FirewallId, LocalFirewall, RateLimit, SbTiming};
+pub use firewall::{Decision, FirewallId, FwCounter, LocalFirewall, RateLimit, SbTiming};
 pub use lcf::{
-    brownout_posture, CryptoTiming, IcFailureMode, LcfRegionConfig, LocalCipheringFirewall,
-    Protection, RekeyError,
+    brownout_posture, CryptoTiming, IcFailureMode, LcfCounter, LcfHistogram, LcfRegionConfig,
+    LocalCipheringFirewall, Protection, RekeyError,
 };
 pub use policy::{
     AdfSet, ConfidentialityMode, IntegrityMode, PolicyError, Rwa, SecurityPolicy, Spi,

@@ -156,6 +156,11 @@ impl ReconfigController {
     /// [`ReconfigController::schedule`] first. The caller applies each
     /// with [`ReconfigController::apply_to`].
     pub fn take_ready(&mut self, now: Cycle) -> Vec<PolicyUpdate> {
+        // Nothing due (every tick outside a swap): no allocation, and the
+        // queue is left untouched.
+        if !self.queue.iter().any(|&(at, _, _)| at <= now) {
+            return Vec::new();
+        }
         let mut ready = Vec::new();
         let mut remaining = Vec::with_capacity(self.queue.len());
         for (at, seq, update) in self.queue.drain(..) {

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use secbus_bus::{Op, Response, TxnId, Width};
-use secbus_sim::{Cycle, Stats};
+use secbus_sim::{stat_keys, Cycle, Stats};
 
 use crate::master::{BusMaster, MasterAccess};
 
@@ -131,6 +131,17 @@ struct Fill {
     outstanding: Option<TxnId>,
 }
 
+stat_keys! {
+    /// The cache's per-access counters, kept in fixed [`Stats`] slots.
+    pub enum CacheCounter {
+        FillErrors => "cache.fill_errors",
+        Hits => "cache.hits",
+        Misses => "cache.misses",
+        StaleResponses => "cache.stale_responses",
+        WriteThrough => "cache.write_through",
+    }
+}
+
 /// A [`BusMaster`] wrapper adding a private direct-mapped read cache.
 pub struct CachedMaster {
     device: Box<dyn BusMaster>,
@@ -153,18 +164,18 @@ impl CachedMaster {
             fill: None,
             hits: VecDeque::new(),
             next_local: 1 << 63,
-            stats: Stats::new(),
+            stats: Stats::slotted(CacheCounter::KEYS, &[]),
         }
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.stats.counter("cache.hits")
+        self.stats.counter_slot(CacheCounter::Hits)
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.stats.counter("cache.misses")
+        self.stats.counter_slot(CacheCounter::Misses)
     }
 
     /// Hit rate in [0, 1]; `None` before any cacheable access.
@@ -214,7 +225,7 @@ impl CachePort<'_> {
             if Some(resp.txn) != fill.outstanding {
                 // A dead letter for an already-answered fill word must
                 // not be collected into the line; account and drop it.
-                self.stats.incr("cache.stale_responses");
+                self.stats.incr_slot(CacheCounter::StaleResponses);
                 return None;
             }
             fill.outstanding = None;
@@ -223,7 +234,7 @@ impl CachePort<'_> {
                 // abort the fill and surface the error for the original
                 // access. Nothing is installed.
                 let fill = self.fill.take().expect("fill present");
-                self.stats.incr("cache.fill_errors");
+                self.stats.incr_slot(CacheCounter::FillErrors);
                 return Some(Response {
                     txn: fill.local_id,
                     data: 0,
@@ -254,7 +265,7 @@ impl MasterAccess for CachePort<'_> {
         match op {
             Op::Read if burst <= 1 => {
                 if let Some(word) = self.cache.lookup(addr & !3) {
-                    self.stats.incr("cache.hits");
+                    self.stats.incr_slot(CacheCounter::Hits);
                     let id = self.alloc_local();
                     self.hits.push_back(Response {
                         txn: id,
@@ -264,7 +275,7 @@ impl MasterAccess for CachePort<'_> {
                     });
                     id
                 } else {
-                    self.stats.incr("cache.misses");
+                    self.stats.incr_slot(CacheCounter::Misses);
                     debug_assert!(self.fill.is_none(), "single outstanding device access");
                     let id = self.alloc_local();
                     *self.fill = Some(Fill {
@@ -286,7 +297,7 @@ impl MasterAccess for CachePort<'_> {
                 } else {
                     self.cache.invalidate(addr);
                 }
-                self.stats.incr("cache.write_through");
+                self.stats.incr_slot(CacheCounter::WriteThrough);
                 self.real.issue(op, addr, width, data, burst)
             }
             _ => {

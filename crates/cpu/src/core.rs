@@ -8,7 +8,7 @@
 //! crosses the attacker-reachable external bus).
 
 use secbus_bus::{Op, Response, TxnId, Width};
-use secbus_sim::{Cycle, Stats, Wake};
+use secbus_sim::{stat_keys, Cycle, Stats, Wake};
 
 use crate::isa::{AluOp, Cond, Instr, MemSize, Reg};
 use crate::master::{BusMaster, MasterAccess};
@@ -45,6 +45,24 @@ enum State {
     Halted,
 }
 
+stat_keys! {
+    /// The core's per-instruction counters, kept in fixed [`Stats`]
+    /// slots.
+    pub enum CoreCounter {
+        BranchesTaken => "core.branches_taken",
+        Instructions => "core.instructions",
+        Loads => "core.loads",
+        Stores => "core.stores",
+    }
+}
+
+stat_keys! {
+    /// The core's per-access histograms, kept in fixed [`Stats`] slots.
+    pub enum CoreHistogram {
+        MemLatency => "core.mem_latency",
+    }
+}
+
 /// The MB32 soft core.
 pub struct Mb32Core {
     label: String,
@@ -68,7 +86,7 @@ impl Mb32Core {
                 words: program,
             },
             state: State::Fetch,
-            stats: Stats::new(),
+            stats: Stats::slotted(CoreCounter::KEYS, CoreHistogram::KEYS),
         }
     }
 
@@ -81,7 +99,7 @@ impl Mb32Core {
             pc,
             fetch: FetchSource::Bus,
             state: State::Fetch,
-            stats: Stats::new(),
+            stats: Stats::slotted(CoreCounter::KEYS, CoreHistogram::KEYS),
         }
     }
 
@@ -129,7 +147,7 @@ impl Mb32Core {
     /// Execute one decoded instruction; may issue a memory transaction and
     /// move to `WaitMem`. `pc` has NOT been advanced yet on entry.
     fn execute(&mut self, instr: Instr, mem: &mut dyn MasterAccess, now: Cycle) {
-        self.stats.incr("core.instructions");
+        self.stats.incr_slot(CoreCounter::Instructions);
         let next_pc = self.pc.wrapping_add(4);
         match instr {
             Instr::Alu { op, rd, ra, rb } => {
@@ -162,7 +180,7 @@ impl Mb32Core {
                 let addr = self.reg(ra).wrapping_add(off as i32 as u32);
                 let width = width_of(size);
                 let txn = mem.issue(Op::Read, addr, width, 0, 1);
-                self.stats.incr("core.loads");
+                self.stats.incr_slot(CoreCounter::Loads);
                 self.state = State::WaitMem {
                     txn,
                     rd: Some(rd),
@@ -178,7 +196,7 @@ impl Mb32Core {
                 let width = width_of(size);
                 let data = self.reg(rb) & width.mask();
                 let txn = mem.issue(Op::Write, addr, width, data, 1);
-                self.stats.incr("core.stores");
+                self.stats.incr_slot(CoreCounter::Stores);
                 self.state = State::WaitMem {
                     txn,
                     rd: None,
@@ -198,7 +216,7 @@ impl Mb32Core {
                     Cond::Ge => (a as i32) >= (b as i32),
                 };
                 if taken {
-                    self.stats.incr("core.branches_taken");
+                    self.stats.incr_slot(CoreCounter::BranchesTaken);
                     self.pc = next_pc.wrapping_add((off as i32 as u32).wrapping_mul(4));
                 } else {
                     self.pc = next_pc;
@@ -254,7 +272,7 @@ impl Mb32Core {
             self.write_rd(rd, v);
         }
         self.stats
-            .record("core.mem_latency", now.saturating_since(issued_at));
+            .record_slot(CoreHistogram::MemLatency, now.saturating_since(issued_at));
         self.state = State::Fetch;
     }
 }

@@ -28,12 +28,13 @@ pub mod isa;
 pub mod master;
 pub mod traffic;
 
-pub use crate::core::Mb32Core;
+pub use crate::core::{CoreCounter, CoreHistogram, Mb32Core};
 pub use asm::{assemble, AsmError};
-pub use cache::{CacheConfig, CachedMaster};
+pub use cache::{CacheConfig, CacheCounter, CachedMaster};
 pub use disasm::{disasm, disasm_listing};
 pub use isa::{Instr, Reg};
 pub use master::{BusMaster, MasterAccess};
 pub use traffic::{
-    DmaEngine, OpenLoopConfig, OpenLoopMaster, StreamIp, SyntheticConfig, SyntheticMaster,
+    DmaEngine, OpenLoopConfig, OpenLoopCounter, OpenLoopMaster, StreamCounter, StreamIp,
+    SyntheticConfig, SyntheticMaster, TrafficCounter, TrafficHistogram,
 };

@@ -9,7 +9,7 @@
 //! S-2 ablation bench.
 
 use secbus_bus::{Op, TxnId, Width};
-use secbus_sim::{Cycle, SimRng, Stats, Wake};
+use secbus_sim::{stat_keys, Cycle, SimRng, Stats, Wake};
 
 use crate::master::{BusMaster, MasterAccess};
 
@@ -44,6 +44,25 @@ impl Default for SyntheticConfig {
     }
 }
 
+stat_keys! {
+    /// The [`SyntheticMaster`]'s per-access counters, kept in fixed
+    /// [`Stats`] slots.
+    pub enum TrafficCounter {
+        Err => "traffic.err",
+        Issued => "traffic.issued",
+        Ok => "traffic.ok",
+        StaleResponses => "traffic.stale_responses",
+    }
+}
+
+stat_keys! {
+    /// The [`SyntheticMaster`]'s per-access histograms, kept in fixed
+    /// [`Stats`] slots.
+    pub enum TrafficHistogram {
+        Latency => "traffic.latency",
+    }
+}
+
 /// A master issuing a configurable random mix of reads and writes.
 pub struct SyntheticMaster {
     label: String,
@@ -70,7 +89,7 @@ impl SyntheticMaster {
             outstanding: None,
             issued: 0,
             next_issue_at: 0,
-            stats: Stats::new(),
+            stats: Stats::slotted(TrafficCounter::KEYS, TrafficHistogram::KEYS),
         }
     }
 
@@ -111,16 +130,16 @@ impl BusMaster for SyntheticMaster {
                     // already been answered for (e.g. a watchdog verdict
                     // raced a late completion). Account it and keep
                     // waiting for the live one.
-                    self.stats.incr("traffic.stale_responses");
+                    self.stats.incr_slot(TrafficCounter::StaleResponses);
                     return;
                 }
                 self.stats
-                    .record("traffic.latency", now.saturating_since(issued_at));
-                if resp.is_ok() {
-                    self.stats.incr("traffic.ok");
+                    .record_slot(TrafficHistogram::Latency, now.saturating_since(issued_at));
+                self.stats.incr_slot(if resp.is_ok() {
+                    TrafficCounter::Ok
                 } else {
-                    self.stats.incr("traffic.err");
-                }
+                    TrafficCounter::Err
+                });
                 self.outstanding = None;
                 self.next_issue_at = now.get() + self.config.period;
             }
@@ -144,7 +163,7 @@ impl BusMaster for SyntheticMaster {
         let txn = mem.issue(op, addr, width, data, burst);
         self.outstanding = Some((txn, now));
         self.issued += 1;
-        self.stats.incr("traffic.issued");
+        self.stats.incr_slot(TrafficCounter::Issued);
     }
 
     fn next_wake(&self, now: Cycle) -> Wake {
@@ -315,6 +334,16 @@ impl BusMaster for DmaEngine {
     }
 }
 
+stat_keys! {
+    /// The [`StreamIp`]'s per-sample counters, kept in fixed [`Stats`]
+    /// slots.
+    pub enum StreamCounter {
+        Acked => "stream.acked",
+        Rejected => "stream.rejected",
+        StaleResponses => "stream.stale_responses",
+    }
+}
+
 /// A dedicated streaming IP: writes an incrementing sample to a FIFO
 /// register every `period` cycles — the kind of fixed-function block the
 /// paper attaches a Local Firewall to.
@@ -341,7 +370,7 @@ impl StreamIp {
             sent: 0,
             outstanding: None,
             next_at: 0,
-            stats: Stats::new(),
+            stats: Stats::slotted(StreamCounter::KEYS, &[]),
         }
     }
 
@@ -362,14 +391,14 @@ impl BusMaster for StreamIp {
                 if resp.txn != txn {
                     // Dead letter for an already-answered id; see
                     // `SyntheticMaster::tick`.
-                    self.stats.incr("stream.stale_responses");
+                    self.stats.incr_slot(StreamCounter::StaleResponses);
                     return;
                 }
-                if resp.is_ok() {
-                    self.stats.incr("stream.acked");
+                self.stats.incr_slot(if resp.is_ok() {
+                    StreamCounter::Acked
                 } else {
-                    self.stats.incr("stream.rejected");
-                }
+                    StreamCounter::Rejected
+                });
                 self.outstanding = None;
             }
             return;
@@ -435,6 +464,17 @@ impl Default for OpenLoopConfig {
     }
 }
 
+stat_keys! {
+    /// The [`OpenLoopMaster`]'s outcome counters, kept in fixed [`Stats`]
+    /// slots; its accessors read them.
+    pub enum OpenLoopCounter {
+        Completed => "openloop.completed",
+        Errors => "openloop.errors",
+        Issued => "openloop.issued",
+        Shed => "openloop.shed",
+    }
+}
+
 /// An *open-loop* source: it issues [`OpenLoopConfig::per_tick`] accesses
 /// every cycle of its window whether or not earlier ones completed — the
 /// offered load does not slow down when the fabric does. The closed-loop
@@ -448,10 +488,6 @@ pub struct OpenLoopMaster {
     config: OpenLoopConfig,
     rng: SimRng,
     stats: Stats,
-    issued: u64,
-    completed: u64,
-    shed: u64,
-    errors: u64,
 }
 
 impl OpenLoopMaster {
@@ -465,37 +501,33 @@ impl OpenLoopMaster {
             label: label.into(),
             config,
             rng,
-            stats: Stats::new(),
-            issued: 0,
-            completed: 0,
-            shed: 0,
-            errors: 0,
+            stats: Stats::slotted(OpenLoopCounter::KEYS, &[]),
         }
     }
 
     /// Accesses issued so far.
     pub fn issued(&self) -> u64 {
-        self.issued
+        self.stats.counter_slot(OpenLoopCounter::Issued)
     }
 
     /// Responses that completed OK.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.stats.counter_slot(OpenLoopCounter::Completed)
     }
 
     /// Refusals at admission ([`secbus_bus::BusError::Overload`]).
     pub fn shed(&self) -> u64 {
-        self.shed
+        self.stats.counter_slot(OpenLoopCounter::Shed)
     }
 
     /// Any other error outcome (discards, decode errors, timeouts).
     pub fn errors(&self) -> u64 {
-        self.errors
+        self.stats.counter_slot(OpenLoopCounter::Errors)
     }
 
     /// Whether every issued access has resolved one way or another.
     pub fn resolved(&self) -> bool {
-        self.issued == self.completed + self.shed + self.errors
+        self.issued() == self.completed() + self.shed() + self.errors()
     }
 }
 
@@ -506,20 +538,11 @@ impl BusMaster for OpenLoopMaster {
 
     fn tick(&mut self, mem: &mut dyn MasterAccess, now: Cycle) {
         while let Some(resp) = mem.poll() {
-            match resp.result {
-                Ok(()) => {
-                    self.completed += 1;
-                    self.stats.incr("openloop.completed");
-                }
-                Err(secbus_bus::BusError::Overload) => {
-                    self.shed += 1;
-                    self.stats.incr("openloop.shed");
-                }
-                Err(_) => {
-                    self.errors += 1;
-                    self.stats.incr("openloop.errors");
-                }
-            }
+            self.stats.incr_slot(match resp.result {
+                Ok(()) => OpenLoopCounter::Completed,
+                Err(secbus_bus::BusError::Overload) => OpenLoopCounter::Shed,
+                Err(_) => OpenLoopCounter::Errors,
+            });
         }
         if now.get() >= self.config.until {
             return;
@@ -534,8 +557,7 @@ impl BusMaster for OpenLoopMaster {
             };
             let data = self.rng.next_u32();
             mem.issue(op, base + slot * 4, Width::Word, data, 1);
-            self.issued += 1;
-            self.stats.incr("openloop.issued");
+            self.stats.incr_slot(OpenLoopCounter::Issued);
         }
     }
 

@@ -151,6 +151,26 @@ impl FaultKind {
         }
     }
 
+    /// The SoC's per-class fault counter key (`soc.fault.<class>`),
+    /// precomputed so applying a fault never allocates.
+    pub fn soc_key(&self) -> &'static str {
+        match self {
+            FaultKind::DdrBitFlip { .. } => "soc.fault.ddr_bitflip",
+            FaultKind::BusLoseGrant => "soc.fault.bus_lost_grant",
+            FaultKind::SlaveStall { .. } => "soc.fault.slave_stall",
+            FaultKind::CorruptResponse { .. } => "soc.fault.corrupt_response",
+            FaultKind::PolicyCorrupt { .. } => "soc.fault.policy_corrupt",
+            FaultKind::CcGlitch => "soc.fault.cc_glitch",
+            FaultKind::IcGlitch => "soc.fault.ic_glitch",
+            FaultKind::PowerCut => "soc.fault.power_cut",
+            FaultKind::TornWrite { .. } => "soc.fault.torn_write",
+            FaultKind::LinkBitFlip { .. } => "soc.fault.link_bitflip",
+            FaultKind::LinkDrop { .. } => "soc.fault.link_drop",
+            FaultKind::RouterStuck { .. } => "soc.fault.router_stuck",
+            FaultKind::EpochCommitFault { .. } => "soc.fault.epoch_commit_fault",
+        }
+    }
+
     /// All class names, in schedule order (report columns).
     pub const CLASSES: [&'static str; 13] = [
         "ddr_bitflip",
@@ -773,6 +793,44 @@ mod tests {
         );
         assert_eq!(FaultKind::LinkDrop { node: 0, dir: 0 }.class(), "link_drop");
         assert_eq!(FaultKind::RouterStuck { node: 0 }.class(), "router_stuck");
+    }
+
+    /// The precomputed SoC keys must match what the old `format!`
+    /// produced, for every class (metrics-key compatibility).
+    #[test]
+    fn soc_keys_match_format() {
+        let every = [
+            FaultKind::DdrBitFlip { offset: 0, bit: 0 },
+            FaultKind::BusLoseGrant,
+            FaultKind::SlaveStall {
+                slave: 0,
+                extra_cycles: 1,
+            },
+            FaultKind::CorruptResponse { xor: 1 },
+            FaultKind::PolicyCorrupt {
+                firewall: 0,
+                entry: 0,
+                bit: 0,
+            },
+            FaultKind::CcGlitch,
+            FaultKind::IcGlitch,
+            FaultKind::PowerCut,
+            FaultKind::TornWrite { keep_bytes: 4 },
+            FaultKind::LinkBitFlip {
+                node: 0,
+                dir: 0,
+                xor: 1,
+                header: false,
+            },
+            FaultKind::LinkDrop { node: 0, dir: 0 },
+            FaultKind::RouterStuck { node: 0 },
+            FaultKind::EpochCommitFault { stage: 0 },
+        ];
+        let classes: Vec<&str> = every.iter().map(FaultKind::class).collect();
+        assert_eq!(classes, FaultKind::CLASSES);
+        for kind in every {
+            assert_eq!(kind.soc_key(), format!("soc.fault.{}", kind.class()));
+        }
     }
 
     #[test]

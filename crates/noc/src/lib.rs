@@ -38,7 +38,8 @@ pub mod topology;
 
 pub use link::{crc32, Flit, LinkReply, LinkRx, LinkTx, TxStatus};
 pub use network::{
-    DeliveryInfo, LossReason, Mesh, MeshQuiet, NocAlert, NocConfig, Packet, PacketId,
+    DeliveryInfo, LossReason, Mesh, MeshCounter, MeshHistogram, MeshQuiet, NocAlert, NocConfig,
+    Packet, PacketId,
 };
 pub use ni::{NetworkInterface, ProbeReport};
 pub use overload::{run_overload, run_overload_with_core, OverloadConfig, OverloadReport};

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 
 use secbus_bus::{Op, Width};
 use secbus_fault::FaultKind;
-use secbus_sim::{Cycle, Stats, TraceEvent, Tracer};
+use secbus_sim::{stat_keys, Cycle, Stats, TraceEvent, Tracer};
 
 use crate::link::crc32;
 use crate::topology::{adaptive_route, direction_index, xy_route, FaultMap, NodeId, Topology};
@@ -280,6 +280,27 @@ enum Outcome {
     SilentDrop(usize),
 }
 
+stat_keys! {
+    /// The mesh's per-hop, per-cycle and per-packet counters, kept in
+    /// fixed [`Stats`] slots.
+    pub enum MeshCounter {
+        Alerts => "noc.alerts",
+        CreditWaitCycles => "noc.credit_wait_cycles",
+        Delivered => "noc.delivered",
+        Hops => "noc.hops",
+        IngressRefused => "noc.ingress_refused",
+        Injected => "noc.injected",
+        LinkWaitCycles => "noc.link_wait_cycles",
+    }
+}
+
+stat_keys! {
+    /// The mesh's per-hop histograms, kept in fixed [`Stats`] slots.
+    pub enum MeshHistogram {
+        HopLatency => "noc.hop_latency",
+    }
+}
+
 /// The mesh network.
 pub struct Mesh {
     topology: Topology,
@@ -295,6 +316,8 @@ pub struct Mesh {
     alerts: VecDeque<NocAlert>,
     next_id: u64,
     stats: Stats,
+    /// Per-tick flight outcomes, cleared and reused every tick.
+    outcomes: Vec<Outcome>,
     /// Observability spine, if attached.
     tracer: Option<Tracer>,
 }
@@ -316,7 +339,8 @@ impl Mesh {
             flights: Vec::new(),
             alerts: VecDeque::new(),
             next_id: 0,
-            stats: Stats::new(),
+            stats: Stats::slotted(MeshCounter::KEYS, MeshHistogram::KEYS),
+            outcomes: Vec::new(),
             tracer: None,
         }
     }
@@ -383,7 +407,7 @@ impl Mesh {
     }
 
     fn raise_alert(&mut self, packet: Packet, reason: LossReason, at: Cycle) {
-        self.stats.incr("noc.alerts");
+        self.stats.incr_slot(MeshCounter::Alerts);
         self.stats.incr(reason.stat_key());
         if let Some(t) = &self.tracer {
             t.record(
@@ -420,7 +444,7 @@ impl Mesh {
         assert!(self.topology.contains(packet.src), "src outside mesh");
         let src = self.topology.index(packet.src);
         if self.occupancy[src] >= self.config.node_capacity as u32 {
-            self.stats.incr("noc.ingress_refused");
+            self.stats.incr_slot(MeshCounter::IngressRefused);
             if self.config.protected {
                 self.raise_alert(packet, LossReason::CreditStall, now);
             } else {
@@ -444,7 +468,7 @@ impl Mesh {
     pub fn inject(&mut self, packet: Packet, now: Cycle) {
         assert!(self.topology.contains(packet.src), "src outside mesh");
         assert!(self.topology.contains(packet.dst), "dst outside mesh");
-        self.stats.incr("noc.injected");
+        self.stats.incr_slot(MeshCounter::Injected);
         let route = if self.config.protected {
             match adaptive_route(packet.src, packet.dst, &self.fault_map) {
                 Some(r) => r,
@@ -562,7 +586,7 @@ impl Mesh {
     /// completed and whose next link is free.
     pub fn tick(&mut self, now: Cycle) {
         self.detect_dead_routers(now);
-        let mut outcomes: Vec<Outcome> = Vec::new();
+        let mut outcomes = std::mem::take(&mut self.outcomes);
         for (idx, flight) in self.flights.iter_mut().enumerate() {
             if flight.parked || flight.ready_at > now.get() {
                 continue;
@@ -601,7 +625,7 @@ impl Mesh {
             // CreditStall alert after `max_credit_wait` cycles (anti-
             // wedge bound); the bare mesh waits indefinitely.
             if self.occupancy[to_idx] >= self.config.node_capacity as u32 {
-                self.stats.incr("noc.credit_wait_cycles");
+                self.stats.incr_slot(MeshCounter::CreditWaitCycles);
                 flight.credit_wait += 1;
                 if self.config.protected && flight.credit_wait > self.config.max_credit_wait {
                     outcomes.push(Outcome::Lost(idx, LossReason::CreditStall));
@@ -610,7 +634,7 @@ impl Mesh {
             }
             let link = from_idx * 4 + direction_index(from, to);
             if self.links[link].free_at > now.get() {
-                self.stats.incr("noc.link_wait_cycles");
+                self.stats.incr_slot(MeshCounter::LinkWaitCycles);
                 continue; // contend next cycle
             }
             let hop_cost = self.config.router_cycles
@@ -633,8 +657,8 @@ impl Mesh {
                         flight.credit_wait = 0;
                         self.occupancy[from_idx] = self.occupancy[from_idx].saturating_sub(1);
                         self.occupancy[to_idx] += 1;
-                        self.stats.incr("noc.hops");
-                        self.stats.record("noc.hop_latency", hop_cost);
+                        self.stats.incr_slot(MeshCounter::Hops);
+                        self.stats.record_slot(MeshHistogram::HopLatency, hop_cost);
                         if let Some(t) = &self.tracer {
                             t.record(
                                 now,
@@ -718,8 +742,8 @@ impl Mesh {
             flight.hop += 1;
             self.occupancy[from_idx] = self.occupancy[from_idx].saturating_sub(1);
             self.occupancy[to_idx] += 1;
-            self.stats.incr("noc.hops");
-            self.stats.record("noc.hop_latency", hop_cost);
+            self.stats.incr_slot(MeshCounter::Hops);
+            self.stats.record_slot(MeshHistogram::HopLatency, hop_cost);
             if let Some(t) = &self.tracer {
                 t.record(
                     now,
@@ -732,7 +756,7 @@ impl Mesh {
             }
         }
         // Apply outcomes back to front so swap_remove indices stay valid.
-        for outcome in outcomes.into_iter().rev() {
+        for outcome in outcomes.drain(..).rev() {
             match outcome {
                 Outcome::Finished(idx) => {
                     let flight = self.remove_flight(idx);
@@ -749,6 +773,7 @@ impl Mesh {
                 }
             }
         }
+        self.outcomes = outcomes;
     }
 
     /// Hand a completed flight to its destination interface — or fail
@@ -770,7 +795,7 @@ impl Mesh {
         if !clean {
             self.stats.incr("noc.delivered_corrupt");
         }
-        self.stats.incr("noc.delivered");
+        self.stats.incr_slot(MeshCounter::Delivered);
         let node = self.topology.index(last);
         self.delivered[node].push_back((
             flight.packet,

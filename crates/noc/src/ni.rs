@@ -79,7 +79,7 @@ impl NetworkInterface {
             }
             CheckOutcome::Fail(v) => {
                 self.stats.incr("ni.rejected");
-                self.stats.incr(&format!("ni.violation.{}", v.mnemonic()));
+                self.stats.incr(v.ni_key());
                 Err((v, latency))
             }
         }
@@ -110,7 +110,7 @@ impl NetworkInterface {
             }
             CheckOutcome::Fail(v) => {
                 self.stats.incr("ni.ingress_rejected");
-                self.stats.incr(&format!("ni.violation.{}", v.mnemonic()));
+                self.stats.incr(v.ni_key());
                 Err((v, latency))
             }
         }

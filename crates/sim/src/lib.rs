@@ -33,6 +33,6 @@ pub use json::{Json, JsonError};
 pub use log::EventLog;
 pub use metrics::MetricsRegistry;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Stats};
+pub use stats::{Counter, Histogram, StatKey, Stats};
 pub use trace::{TraceBuffer, TraceEvent, Tracer};
 pub use wheel::{EventKey, SimCore, TimingWheel, Wake};

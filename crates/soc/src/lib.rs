@@ -20,6 +20,7 @@
 
 pub mod casestudy;
 pub mod degrade;
+mod inflight;
 pub mod overload;
 pub mod reconfig_run;
 pub mod report;
@@ -38,6 +39,6 @@ pub use overload::{
 };
 pub use reconfig_run::{run_reconfig_soak, ReconfigSoakConfig, ReconfigSoakReport, SwapSchedule};
 pub use report::{AlertLine, AuditReport, FirewallAudit, Report};
-pub use soc::{BuildError, RetryPolicy, Soc, SocBuilder};
+pub use soc::{BuildError, RetryPolicy, Soc, SocBuilder, SocCounter, SocHistogram};
 pub use topology::{render_noc_topology, render_topology};
 pub use tracefile::{render_trace, trace_summary};

@@ -1,6 +1,6 @@
 //! The system container and its cycle loop.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use secbus_bus::{
@@ -17,11 +17,47 @@ use secbus_cpu::{BusMaster, MasterAccess};
 use secbus_fault::{FaultKind, FaultPlan};
 use secbus_mem::{Bram, ExternalDdr, MemDevice};
 use secbus_sim::{
-    Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TimingWheel, TraceEvent, Tracer,
-    Wake,
+    stat_keys, Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TimingWheel,
+    TraceEvent, Tracer, Wake,
 };
 
 use crate::degrade::{DegradeConfig, Hysteresis, Transition};
+use crate::inflight::{InFlight, InFlightTable};
+
+stat_keys! {
+    /// The SoC's per-cycle and per-transaction counters, kept in fixed
+    /// [`Stats`] slots.
+    pub enum SocCounter {
+        Cycles => "soc.cycles",
+        OrphanCompletions => "soc.orphan_completions",
+        Retries => "soc.retries",
+        RetryShed => "soc.retry_shed",
+        RetrySuccesses => "soc.retry_successes",
+        Shed => "soc.shed",
+        ShedM0 => "soc.shed.m0",
+        ShedM1 => "soc.shed.m1",
+        ShedM2 => "soc.shed.m2",
+        ShedM3 => "soc.shed.m3",
+        ShedM4 => "soc.shed.m4",
+        ShedM5 => "soc.shed.m5",
+        ShedM6 => "soc.shed.m6",
+        ShedM7 => "soc.shed.m7",
+        ShedMOther => "soc.shed.m_other",
+        TaintSpreadWrites => "soc.taint.spread_writes",
+        TaintTaintedReads => "soc.taint.tainted_reads",
+        WatchdogCancels => "soc.watchdog_cancels",
+    }
+}
+
+stat_keys! {
+    /// The SoC's per-transaction lifecycle histograms, kept in fixed
+    /// [`Stats`] slots.
+    pub enum SocHistogram {
+        RetryLatency => "soc.retry_latency",
+        IssueToVerdict => "txn.issue_to_verdict",
+        VerdictToComplete => "txn.verdict_to_complete",
+    }
+}
 
 /// A master waiting to be built: device, optional policies, optional
 /// traffic budget.
@@ -376,10 +412,7 @@ impl SocBuilder {
                     bus_id,
                     device: Some(device),
                     firewall,
-                    outstanding_reads: HashMap::new(),
-                    issued: HashMap::new(),
-                    retries: HashMap::new(),
-                    verdicts: HashMap::new(),
+                    inflight: InFlightTable::default(),
                     inbound: VecDeque::new(),
                     ready: VecDeque::new(),
                 }
@@ -548,7 +581,8 @@ impl SocBuilder {
             track_issues: self.watchdog.is_some() || self.retry.is_some(),
             recovery_rng: SimRng::new(0x5ec_b05).derive("soc.recovery"),
             security: self.security,
-            stats: Stats::new(),
+            stats: Stats::slotted(SocCounter::KEYS, SocHistogram::KEYS),
+            alerts: Vec::new(),
             tracer,
             powered_off: false,
             torn_seen: 0,
@@ -595,20 +629,9 @@ struct MasterSlot {
     bus_id: MasterId,
     device: Option<Box<dyn BusMaster>>,
     firewall: Option<LocalFirewall>,
-    /// Reads in flight, kept for the inbound ("before reaching the IP")
-    /// check, which needs the transaction's address and width.
-    outstanding_reads: HashMap<TxnId, Transaction>,
-    /// Every transaction this interface put on the bus, kept (only when
-    /// the watchdog or retry is armed) until its final response so it can
-    /// be re-issued verbatim on a transient error.
-    issued: HashMap<TxnId, Transaction>,
-    /// Live retries: reissued id -> (original id, attempts so far). The
-    /// IP only ever sees the original id.
-    retries: HashMap<TxnId, (TxnId, u32)>,
-    /// Cycle at which each in-flight transaction's firewall verdict was
-    /// rendered (write-path checks happen at issue; read-path verdicts
-    /// land on final delivery). Feeds `txn.verdict_to_complete`.
-    verdicts: HashMap<TxnId, u64>,
+    /// Transactions on the bus whose response needs a verdict stamp, the
+    /// inbound read check, or the watchdog/retry path.
+    inflight: InFlightTable,
     /// Responses maturing through the inbound check delay.
     inbound: VecDeque<(u64, Response)>,
     /// Responses ready for the device.
@@ -635,10 +658,7 @@ struct PortAdapter<'a> {
     monitor: &'a mut SecurityMonitor,
     firewall: Option<&'a mut LocalFirewall>,
     master: MasterId,
-    outstanding_reads: &'a mut HashMap<TxnId, Transaction>,
-    issued: &'a mut HashMap<TxnId, Transaction>,
-    /// Verdict cycles for the lifecycle histograms (see [`MasterSlot`]).
-    verdicts: &'a mut HashMap<TxnId, u64>,
+    inflight: &'a mut InFlightTable,
     inbound: &'a mut VecDeque<(u64, Response)>,
     ready: &'a mut VecDeque<Response>,
     /// System stats, for the txn-lifecycle latency histograms.
@@ -652,12 +672,27 @@ struct PortAdapter<'a> {
 }
 
 impl PortAdapter<'_> {
-    /// Remember a transaction that actually went on the bus and start its
-    /// watchdog timer. Discards synthesized at the interface never come
-    /// through here — nothing is outstanding for them.
-    fn track_issue(&mut self, txn: Transaction, firewall: Option<FirewallId>) {
+    /// Remember a transaction that actually went on the bus, when its
+    /// response will need it (a verdict stamp, the inbound read check, or
+    /// the armed watchdog/retry path), and start its watchdog timer.
+    /// Discards synthesized at the interface never come through here —
+    /// nothing is outstanding for them.
+    fn track_issue(
+        &mut self,
+        txn: Transaction,
+        firewall: Option<FirewallId>,
+        verdict_at: Option<u64>,
+        read_check: bool,
+    ) {
+        if self.track || verdict_at.is_some() || read_check {
+            self.inflight.insert(InFlight {
+                txn,
+                verdict_at,
+                read_check,
+                tracked: self.track,
+            });
+        }
         if self.track {
-            self.issued.insert(txn.id, txn);
             self.monitor.watch(&txn, firewall, self.now);
         }
     }
@@ -674,7 +709,7 @@ impl PortAdapter<'_> {
         let before = te.master_tag(m);
         let after = te.note_read(m, addr, bytes);
         if after > before {
-            self.stats.incr("soc.taint.tainted_reads");
+            self.stats.incr_slot(SocCounter::TaintTaintedReads);
             if let Some(t) = self.tracer {
                 t.record(
                     self.now,
@@ -694,7 +729,7 @@ impl PortAdapter<'_> {
         let m = usize::from(self.master.0);
         if let Some(te) = self.taint.as_deref_mut() {
             if te.master_tag(m).is_tainted() {
-                self.stats.incr("soc.taint.spread_writes");
+                self.stats.incr_slot(SocCounter::TaintSpreadWrites);
             }
             te.commit_write(m, addr, bytes);
         }
@@ -709,8 +744,8 @@ impl PortAdapter<'_> {
     /// fabric's condition, not the IP's misbehaviour.
     fn shed(&mut self, op: Op, addr: u32, width: Width, data: u32, burst: u16) -> TxnId {
         let id = self.bus.alloc_txn_id();
-        self.stats.incr("soc.shed");
-        self.stats.incr(shed_key(self.master.0));
+        self.stats.incr_slot(SocCounter::Shed);
+        self.stats.incr_slot(shed_slot(self.master.0));
         if let Some(fw) = self.firewall.as_deref_mut() {
             let probe = Transaction {
                 id,
@@ -744,7 +779,7 @@ impl PortAdapter<'_> {
                 },
             );
         }
-        self.stats.record("txn.verdict_to_complete", 0);
+        self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
         self.inbound.push_back((
             self.now.get(),
             Response {
@@ -764,22 +799,22 @@ fn span_bytes(width: Width, burst: u16) -> u32 {
     width.bytes() * u32::from(burst.max(1))
 }
 
-/// Per-master shed counters, preallocated so the refusal path does not
-/// allocate (stat keys must be `&'static str`).
-fn shed_key(master: u8) -> &'static str {
-    const KEYS: [&str; 8] = [
-        "soc.shed.m0",
-        "soc.shed.m1",
-        "soc.shed.m2",
-        "soc.shed.m3",
-        "soc.shed.m4",
-        "soc.shed.m5",
-        "soc.shed.m6",
-        "soc.shed.m7",
+/// Per-master shed counter slot; masters past the eighth share one.
+fn shed_slot(master: u8) -> SocCounter {
+    const SLOTS: [SocCounter; 8] = [
+        SocCounter::ShedM0,
+        SocCounter::ShedM1,
+        SocCounter::ShedM2,
+        SocCounter::ShedM3,
+        SocCounter::ShedM4,
+        SocCounter::ShedM5,
+        SocCounter::ShedM6,
+        SocCounter::ShedM7,
     ];
-    KEYS.get(usize::from(master))
+    SLOTS
+        .get(usize::from(master))
         .copied()
-        .unwrap_or("soc.shed.m_other")
+        .unwrap_or(SocCounter::ShedMOther)
 }
 
 impl MasterAccess for PortAdapter<'_> {
@@ -806,7 +841,8 @@ impl MasterAccess for PortAdapter<'_> {
                     issued_at: self.now,
                 };
                 let decision = fw.check(&probe, self.now);
-                self.stats.record("txn.issue_to_verdict", decision.latency);
+                self.stats
+                    .record_slot(SocHistogram::IssueToVerdict, decision.latency);
                 // DIFT: the address rules passed — now the information-flow
                 // rule. A tainted master writing into a protected sink is
                 // denied at the interface exactly like a policy violation.
@@ -853,7 +889,7 @@ impl MasterAccess for PortAdapter<'_> {
                             },
                         );
                     }
-                    self.stats.record("txn.verdict_to_complete", 0);
+                    self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
                     self.inbound.push_back((
                         self.now.get() + decision.latency,
                         Response {
@@ -891,9 +927,12 @@ impl MasterAccess for PortAdapter<'_> {
                             },
                         );
                     }
-                    self.verdicts
-                        .insert(real, self.now.get() + decision.latency);
-                    self.track_issue(Transaction { id: real, ..probe }, Some(fw_id));
+                    self.track_issue(
+                        Transaction { id: real, ..probe },
+                        Some(fw_id),
+                        Some(self.now.get() + decision.latency),
+                        false,
+                    );
                     real
                 } else {
                     // Discarded at the interface: never reaches the bus.
@@ -917,7 +956,7 @@ impl MasterAccess for PortAdapter<'_> {
                             },
                         );
                     }
-                    self.stats.record("txn.verdict_to_complete", 0);
+                    self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
                     self.inbound.push_back((
                         self.now.get() + decision.latency,
                         Response {
@@ -958,8 +997,7 @@ impl MasterAccess for PortAdapter<'_> {
                     );
                 }
                 self.taint_read(addr, span_bytes(width, burst));
-                self.outstanding_reads.insert(id, txn);
-                self.track_issue(txn, Some(fw_id));
+                self.track_issue(txn, Some(fw_id), None, true);
                 id
             }
             // Unprotected master: straight to the bus.
@@ -1017,7 +1055,7 @@ impl MasterAccess for PortAdapter<'_> {
                         self.taint_commit_write(addr, bytes);
                     }
                 }
-                self.track_issue(txn, None);
+                self.track_issue(txn, None, None, false);
                 id
             }
         }
@@ -1050,6 +1088,9 @@ pub struct Soc {
     recovery_rng: SimRng,
     security: bool,
     stats: Stats,
+    /// The alert network's per-tick buffer: every firewall drains into
+    /// it, the monitor consumes it, and it keeps its capacity.
+    alerts: Vec<Alert>,
     /// The shared observability spine, when armed via [`SocBuilder::trace`].
     tracer: Option<Tracer>,
     /// Power is gone: the clock still counts (wall time) but no device,
@@ -1121,7 +1162,7 @@ impl Soc {
             else {
                 continue;
             };
-            self.stats.incr("soc.watchdog_cancels");
+            self.stats.incr_slot(SocCounter::WatchdogCancels);
             self.bus.cancel_inflight(expiry.txn.id);
             for slave in &mut self.slaves {
                 if slave
@@ -1172,9 +1213,7 @@ impl Soc {
                     monitor: &mut self.monitor,
                     firewall: slot.firewall.as_mut(),
                     master: slot.bus_id,
-                    outstanding_reads: &mut slot.outstanding_reads,
-                    issued: &mut slot.issued,
-                    verdicts: &mut slot.verdicts,
+                    inflight: &mut slot.inflight,
                     inbound: &mut slot.inbound,
                     ready: &mut slot.ready,
                     stats: &mut self.stats,
@@ -1226,25 +1265,27 @@ impl Soc {
         let orphans = self.bus.drain_orphans();
         if !orphans.is_empty() {
             self.stats
-                .add("soc.orphan_completions", orphans.len() as u64);
+                .add_slot(SocCounter::OrphanCompletions, orphans.len() as u64);
         }
 
-        // 6. Alert network: firewalls -> monitor -> reactions.
-        let mut alerts: Vec<Alert> = Vec::new();
+        // 6. Alert network: firewalls -> monitor -> reactions. Drain order
+        //    is master LFs in master order, then each slave's LF, then its
+        //    LCF.
+        let mut alerts = std::mem::take(&mut self.alerts);
         for slot in &mut self.masters {
             if let Some(fw) = slot.firewall.as_mut() {
-                alerts.append(&mut fw.drain_alerts());
+                fw.drain_alerts_into(&mut alerts);
             }
         }
         for slot in &mut self.slaves {
             if let Some(fw) = slot.firewall.as_mut() {
-                alerts.append(&mut fw.drain_alerts());
+                fw.drain_alerts_into(&mut alerts);
             }
             if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                alerts.append(&mut lcf.drain_alerts());
+                lcf.drain_alerts_into(&mut alerts);
             }
         }
-        for alert in alerts {
+        for alert in alerts.drain(..) {
             match self.monitor.observe(alert) {
                 Reaction::BlockIp(fw_id) => self.block_firewall(fw_id),
                 Reaction::Quarantine { firewall, until } => {
@@ -1261,6 +1302,7 @@ impl Soc {
                 Reaction::None => {}
             }
         }
+        self.alerts = alerts;
 
         // 6b. Release expired quarantines.
         if !self.releases.is_empty() {
@@ -1347,7 +1389,7 @@ impl Soc {
         }
 
         self.now = now.next();
-        self.stats.incr("soc.cycles");
+        self.stats.incr_slot(SocCounter::Cycles);
     }
 
     /// Kill power now: every subsequent cycle is dead time. Volatile
@@ -1373,19 +1415,15 @@ impl Soc {
         // A reissued transaction completes under its retry id; fold it
         // back onto the original so the IP only ever sees the id it
         // issued (and the inbound check finds its outstanding read).
-        let attempts = match slot.retries.remove(&arrived) {
-            Some((orig, attempts)) => {
-                resp.txn = orig;
-                attempts
-            }
-            None => 0,
-        };
+        let (orig, attempts, record) = slot.inflight.take(arrived);
+        resp.txn = orig;
         self.monitor.resolve(arrived);
         let transient = matches!(resp.result, Err(BusError::Slave) | Err(BusError::Timeout));
         if transient {
             if let Some(policy) = self.retry {
                 if attempts < policy.max_attempts {
-                    if let Some(&orig_txn) = slot.issued.get(&resp.txn) {
+                    if let Some(record) = record.filter(|r| r.tracked) {
+                        let orig_txn = record.txn;
                         let backoff = policy.base_backoff << attempts.min(32);
                         // A retry must respect admission control like any
                         // other access: a full request queue sheds the
@@ -1407,10 +1445,10 @@ impl Soc {
                                 issued_at: now,
                                 ..orig_txn
                             };
-                            slot.retries.insert(retry_id, (resp.txn, attempts + 1));
+                            slot.inflight.retry(record, retry_id, attempts + 1);
                             let fw = slot.firewall.as_ref().map(|f| f.id());
                             self.monitor.watch(&retry_txn, fw, now);
-                            self.stats.incr("soc.retries");
+                            self.stats.incr_slot(SocCounter::Retries);
                             if let Some(t) = &self.tracer {
                                 t.record(
                                     now,
@@ -1422,33 +1460,35 @@ impl Soc {
                             }
                             return;
                         }
-                        self.stats.incr("soc.retry_shed");
+                        self.stats.incr_slot(SocCounter::RetryShed);
                     }
                 }
             }
         }
         // Final delivery: account the retry outcome, then run the inbound
         // ("before reaching the IP") check as usual.
-        let issued = slot.issued.remove(&resp.txn);
+        let issued = record.filter(|r| r.tracked).map(|r| r.txn);
         if attempts > 0 {
             if let Some(orig) = issued {
-                self.stats
-                    .record("soc.retry_latency", now.saturating_since(orig.issued_at));
+                self.stats.record_slot(
+                    SocHistogram::RetryLatency,
+                    now.saturating_since(orig.issued_at),
+                );
             }
             if resp.result.is_ok() {
-                self.stats.incr("soc.retry_successes");
+                self.stats.incr_slot(SocCounter::RetrySuccesses);
             }
         }
-        let mut verdict_at = slot.verdicts.remove(&resp.txn);
-        let outstanding = slot.outstanding_reads.remove(&resp.txn);
+        let mut verdict_at = record.and_then(|r| r.verdict_at);
+        let outstanding = record.filter(|r| r.read_check).map(|r| r.txn);
         let issued_at = issued.or(outstanding).map(|t| t.issued_at);
         let ready_at = match (slot.firewall.as_mut(), outstanding) {
             (Some(fw), Some(txn)) => {
                 // "all data are checked before reaching the IP"
                 let decision = fw.check(&txn, now);
                 let at = now.get() + decision.latency;
-                self.stats.record(
-                    "txn.issue_to_verdict",
+                self.stats.record_slot(
+                    SocHistogram::IssueToVerdict,
                     at.saturating_sub(txn.issued_at.get()),
                 );
                 verdict_at = Some(at);
@@ -1466,7 +1506,7 @@ impl Soc {
         };
         if let Some(at) = verdict_at {
             self.stats
-                .record("txn.verdict_to_complete", ready_at.saturating_sub(at));
+                .record_slot(SocHistogram::VerdictToComplete, ready_at.saturating_sub(at));
         }
         if let Some(t) = &self.tracer {
             let latency = issued_at.map_or(0, |at| ready_at.saturating_sub(at.get()));
@@ -1488,7 +1528,7 @@ impl Soc {
     /// applies to any topology; a fault class with no possible target in
     /// this system (e.g. a CC glitch without an LCF) fizzles silently.
     fn apply_fault(&mut self, kind: FaultKind) {
-        self.stats.incr(&format!("soc.fault.{}", kind.class()));
+        self.stats.incr(kind.soc_key());
         match kind {
             FaultKind::DdrBitFlip { offset, bit } => {
                 for slot in &mut self.slaves {
@@ -1918,7 +1958,7 @@ impl Soc {
             let pressure = self.bus.total_pending_requests() as u64;
             hys.advance(pressure, skipped);
         }
-        self.stats.add("soc.cycles", skipped);
+        self.stats.add_slot(SocCounter::Cycles, skipped);
         self.now = target;
     }
 
@@ -1929,20 +1969,9 @@ impl Soc {
     /// [`Soc::next_wake_cycle`] only runs when a skip is possible.
     fn is_quiescent(&self) -> bool {
         let now = self.now;
-        // Undelivered responses or unaudited orphans force a real tick.
-        if self.bus.has_queued_responses() || self.bus.has_orphans() {
-            return false;
-        }
-        if self.faults.next_due().is_some_and(|at| at <= now) {
-            return false;
-        }
-        if self
-            .monitor
-            .next_watchdog_deadline()
-            .is_some_and(|at| at <= now)
-        {
-            return false;
-        }
+        // Masters first: under saturation some device is due every
+        // cycle, and this is the cheapest way to find it (the checks
+        // below include a scan of the watchdog's list).
         for slot in &self.masters {
             if let Some(&(ready_at, _)) = slot.inbound.front() {
                 if ready_at <= now.get() {
@@ -1977,6 +2006,20 @@ impl Soc {
                 // letters under both cores.
                 Wake::Never => {}
             }
+        }
+        // Undelivered responses or unaudited orphans force a real tick.
+        if self.bus.has_queued_responses() || self.bus.has_orphans() {
+            return false;
+        }
+        if self.faults.next_due().is_some_and(|at| at <= now) {
+            return false;
+        }
+        if self
+            .monitor
+            .next_watchdog_deadline()
+            .is_some_and(|at| at <= now)
+        {
+            return false;
         }
         if matches!(self.bus.quiescence(now), BusQuiet::Active) {
             return false;
@@ -3588,5 +3631,101 @@ mod tests {
         let f = soc.master_as::<Flooder>(0).unwrap();
         assert_eq!(f.errs, 0, "brownout never produced integrity errors");
         assert_eq!(f.issued, f.ok + f.shed);
+    }
+
+    /// The alert network drains in fleet order — master LFs in master
+    /// order, then each slave's LF, then its LCF — whatever order the
+    /// alerts were raised in, and the monitor's log and reactions follow
+    /// that order. Escalation, first-alert latency and the audit trail
+    /// all depend on it.
+    #[test]
+    fn one_tick_of_alerts_reaches_the_monitor_in_fleet_order() {
+        let idle = || Mb32Core::with_local_program("cpu", 0, assemble("halt").unwrap());
+        let mut soc = SocBuilder::new()
+            .trace(256)
+            .monitor_threshold(1)
+            .add_protected_master(
+                Box::new(idle()),
+                ConfigMemory::with_policies(vec![rw_policy(1, BRAM_BASE, 0x100)]).unwrap(),
+            )
+            .add_protected_master(
+                Box::new(idle()),
+                ConfigMemory::with_policies(vec![rw_policy(2, BRAM_BASE, 0x100)]).unwrap(),
+            )
+            .add_bram(
+                "bram",
+                AddrRange::new(BRAM_BASE, 0x1000),
+                Bram::new(0x1000),
+                Some(ConfigMemory::with_policies(vec![rw_policy(3, BRAM_BASE, 0x1000)]).unwrap()),
+            )
+            .set_ddr(
+                "ddr",
+                AddrRange::new(CRASH_DDR_BASE, 0x1000),
+                ExternalDdr::new(0x1000),
+                Some(crash_lcf_policies()),
+            )
+            .build();
+        let now = soc.now();
+        let probe = |id: u64, master: u8| Transaction {
+            id: TxnId(id),
+            master: MasterId(master),
+            op: Op::Write,
+            addr: 0,
+            width: Width::Word,
+            data: 0,
+            burst: 1,
+            issued_at: now,
+        };
+        // Raised back to front: the LCF first, the first master's LF last.
+        let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut soc.slaves[1].kind else {
+            panic!("the DDR slave carries the LCF");
+        };
+        lcf.firewall_mut()
+            .raise_alert(&probe(1, 0), Violation::IntegrityMismatch, now);
+        let slave_lf = soc.slaves[0].firewall.as_mut().unwrap();
+        slave_lf.raise_alert(&probe(2, 1), Violation::NoPolicy, now);
+        let m1 = soc.masters[1].firewall.as_mut().unwrap();
+        m1.raise_alert(&probe(3, 1), Violation::UnauthorizedWrite, now);
+        m1.raise_alert(&probe(4, 1), Violation::Shed, now);
+        let m0 = soc.masters[0].firewall.as_mut().unwrap();
+        m0.raise_alert(&probe(5, 0), Violation::FormatViolation, now);
+        soc.tick();
+
+        let log: Vec<(u8, Violation, u64)> = soc
+            .monitor()
+            .log()
+            .iter()
+            .map(|(_, a)| (a.firewall.0, a.violation, a.txn.id.0))
+            .collect();
+        assert_eq!(
+            log,
+            vec![
+                (0, Violation::FormatViolation, 5),
+                (1, Violation::UnauthorizedWrite, 3),
+                (1, Violation::Shed, 4),
+                (2, Violation::NoPolicy, 2),
+                (3, Violation::IntegrityMismatch, 1),
+            ],
+        );
+        // Threshold 1: every offense blocks its firewall at once; the
+        // shed is an environment fault and escalates nothing.
+        let reactions: Vec<(u8, &str)> = soc
+            .tracer()
+            .unwrap()
+            .snapshot()
+            .into_iter()
+            .filter_map(|(_, e)| match e {
+                TraceEvent::Reaction { firewall, kind } => Some((firewall, kind)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            reactions,
+            vec![(0, "block"), (1, "block"), (2, "block"), (3, "block")],
+        );
+        assert_eq!(soc.monitor().alert_count(), 5);
+        assert!(soc.master_firewall(0).unwrap().is_blocked());
+        assert!(soc.master_firewall(1).unwrap().is_blocked());
+        assert!(soc.lcf().unwrap().firewall().is_blocked());
     }
 }
