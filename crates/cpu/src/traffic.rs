@@ -69,7 +69,6 @@ pub struct SyntheticMaster {
     config: SyntheticConfig,
     rng: SimRng,
     outstanding: Option<(TxnId, Cycle)>,
-    issued: u64,
     next_issue_at: u64,
     stats: Stats,
 }
@@ -87,7 +86,6 @@ impl SyntheticMaster {
             config,
             rng,
             outstanding: None,
-            issued: 0,
             next_issue_at: 0,
             stats: Stats::slotted(TrafficCounter::KEYS, TrafficHistogram::KEYS),
         }
@@ -113,7 +111,12 @@ impl SyntheticMaster {
 
     /// Accesses issued so far.
     pub fn issued(&self) -> u64 {
-        self.issued
+        self.stats.counter_slot(TrafficCounter::Issued)
+    }
+
+    /// Whether the configured `total_ops` budget is spent.
+    fn exhausted(&self) -> bool {
+        self.config.total_ops != 0 && self.issued() >= self.config.total_ops
     }
 }
 
@@ -145,7 +148,7 @@ impl BusMaster for SyntheticMaster {
             }
             return;
         }
-        if self.config.total_ops != 0 && self.issued >= self.config.total_ops {
+        if self.exhausted() {
             return;
         }
         if now.get() < self.next_issue_at {
@@ -162,7 +165,6 @@ impl BusMaster for SyntheticMaster {
         let data = self.rng.next_u32();
         let txn = mem.issue(op, addr, width, data, burst);
         self.outstanding = Some((txn, now));
-        self.issued += 1;
         self.stats.incr_slot(TrafficCounter::Issued);
     }
 
@@ -171,7 +173,7 @@ impl BusMaster for SyntheticMaster {
             // Tick only polls; pure while no response is queued.
             return Wake::Waiting;
         }
-        if self.config.total_ops != 0 && self.issued >= self.config.total_ops {
+        if self.exhausted() {
             return Wake::Never;
         }
         if now.get() < self.next_issue_at {
@@ -181,9 +183,7 @@ impl BusMaster for SyntheticMaster {
     }
 
     fn halted(&self) -> bool {
-        self.config.total_ops != 0
-            && self.issued >= self.config.total_ops
-            && self.outstanding.is_none()
+        self.exhausted() && self.outstanding.is_none()
     }
 
     fn label(&self) -> &str {

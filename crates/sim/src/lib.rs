@@ -4,9 +4,12 @@
 //! The original paper ("Distributed security for communications and memories
 //! in a multiprocessor architecture", RAW/IPDPS 2011) evaluates RTL on a
 //! Virtex-6 FPGA; this crate provides the software equivalent: a
-//! deterministic, cycle-stepped simulation clock plus the bookkeeping
-//! (statistics, event logs, reproducible randomness) the higher layers use
-//! to measure latency, throughput and attack-detection behaviour.
+//! deterministic, cycle-stepped simulation clock, the [`Wake`] seam
+//! through which components declare their next interesting cycle (so an
+//! event-driven run loop can jump over idle ones, see [`SimCore`]), plus
+//! the bookkeeping (statistics, event logs, reproducible randomness) the
+//! higher layers use to measure latency, throughput and attack-detection
+//! behaviour.
 //!
 //! Design rules enforced throughout the workspace:
 //!
@@ -25,7 +28,7 @@ pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod trace;
-pub mod wheel;
+pub mod wake;
 
 pub use clock::Clock;
 pub use cycle::Cycle;
@@ -35,4 +38,4 @@ pub use metrics::MetricsRegistry;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatKey, Stats};
 pub use trace::{TraceBuffer, TraceEvent, Tracer};
-pub use wheel::{EventKey, SimCore, TimingWheel, Wake};
+pub use wake::{SimCore, Wake};

@@ -17,8 +17,8 @@ use secbus_cpu::{BusMaster, MasterAccess};
 use secbus_fault::{FaultKind, FaultPlan};
 use secbus_mem::{Bram, ExternalDdr, MemDevice};
 use secbus_sim::{
-    stat_keys, Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TimingWheel,
-    TraceEvent, Tracer, Wake,
+    stat_keys, Clock, Cycle, Json, MetricsRegistry, SimCore, SimRng, Stats, TraceEvent, Tracer,
+    Wake,
 };
 
 use crate::degrade::{DegradeConfig, Hysteresis, Transition};
@@ -1933,9 +1933,10 @@ impl Soc {
     /// provably a state no-op until some future cycle, jump `now`
     /// there, bulk-accounting exactly what the skipped stepped ticks
     /// would have accounted (`soc.cycles`, residual `bus.busy_cycles`,
-    /// hysteresis dwell counters). Never jumps past `end`, a scheduled
-    /// fault/watchdog/release/epoch/degrade cycle, or any cycle where
-    /// a component could act — those all schedule wake events.
+    /// hysteresis dwell counters). The target comes from
+    /// [`Soc::next_wake_cycle`]: never past `end`, a scheduled
+    /// fault/watchdog/release/epoch/degrade cycle, or any cycle where a
+    /// component could act.
     fn fast_forward_idle(&mut self, end: Cycle) {
         if self.now >= end {
             return;
@@ -1950,9 +1951,6 @@ impl Soc {
             return;
         };
         let skipped = target.get() - self.now.get();
-        if skipped == 0 {
-            return;
-        }
         self.bus.fast_forward(self.now, target);
         if let Some(hys) = self.degrade.as_mut() {
             let pressure = self.bus.total_pending_requests() as u64;
@@ -1962,21 +1960,28 @@ impl Soc {
         self.now = target;
     }
 
-    /// Allocation-free pre-check: could ticking at `self.now + 1` change
-    /// state *immediately*? Runs after every tick on the event core, so
-    /// the saturated case (some component always busy) must bail out
-    /// here without touching the heap — the wheel pass in
-    /// [`Soc::next_wake_cycle`] only runs when a skip is possible.
-    fn is_quiescent(&self) -> bool {
+    /// The earliest cycle after `self.now` (which must lie before `end`)
+    /// at which ticking could change state, capped at `end`; `None`
+    /// when some component could act at `self.now` itself (no skip).
+    ///
+    /// One allocation-free pass over the components: the first one due
+    /// now ends it, and every other declared wake feeds a running
+    /// minimum. Only that minimum leaves the pass: same-cycle effect
+    /// order belongs to [`Soc::tick`] alone. Runs after every tick on
+    /// the event core, so the saturated case (some component always
+    /// busy) must bail out early.
+    fn next_wake_cycle(&self, end: Cycle) -> Option<Cycle> {
         let now = self.now;
-        // Masters first: under saturation some device is due every
-        // cycle, and this is the cheapest way to find it (the checks
-        // below include a scan of the watchdog's list).
+        // Fold one declared wake into the running minimum; a wake at or
+        // before `now` means its component is due this cycle.
+        let wake = |next: Cycle, at: Cycle| (at > now).then_some(next.min(at));
+        let mut next = end;
+        // Tick steps 2–3 per master, first: under saturation some device
+        // is due every cycle, and this is the cheapest way to find it
+        // (the checks below include a scan of the watchdog's list).
         for slot in &self.masters {
             if let Some(&(ready_at, _)) = slot.inbound.front() {
-                if ready_at <= now.get() {
-                    return false;
-                }
+                next = wake(next, Cycle(ready_at))?;
             }
             // Alert queues are empty between ticks; verify, don't assume.
             if slot
@@ -1984,170 +1989,81 @@ impl Soc {
                 .as_ref()
                 .is_some_and(|f| f.has_pending_alerts())
             {
-                return false;
+                return None;
             }
-            let Some(device) = slot.device.as_deref() else {
-                return false;
-            };
-            match device.next_wake(now) {
-                Wake::Now => return false,
-                Wake::At(at) => {
-                    if at <= now {
-                        return false;
-                    }
-                }
+            match slot.device.as_deref()?.next_wake(now) {
+                Wake::Now => return None,
+                Wake::At(at) => next = wake(next, at)?,
                 // Pure while its response queue is empty.
-                Wake::Waiting => {
-                    if !slot.ready.is_empty() {
-                        return false;
-                    }
-                }
+                Wake::Waiting if !slot.ready.is_empty() => return None,
                 // Terminally quiescent; undelivered responses are dead
                 // letters under both cores.
-                Wake::Never => {}
+                Wake::Waiting | Wake::Never => {}
             }
         }
-        // Undelivered responses or unaudited orphans force a real tick.
+        // Tick step 0: scheduled environment faults.
+        if let Some(at) = self.faults.next_due() {
+            next = wake(next, at)?;
+        }
+        // Tick steps 1 and 5b: undelivered responses or unaudited
+        // orphans force a real tick.
         if self.bus.has_queued_responses() || self.bus.has_orphans() {
-            return false;
+            return None;
         }
-        if self.faults.next_due().is_some_and(|at| at <= now) {
-            return false;
+        // Tick step 1b: watchdog expiry deadlines.
+        if let Some(at) = self.monitor.next_watchdog_deadline() {
+            next = wake(next, at)?;
         }
-        if self
-            .monitor
-            .next_watchdog_deadline()
-            .is_some_and(|at| at <= now)
-        {
-            return false;
+        // Tick step 4: the bus.
+        match self.bus.quiescence(now) {
+            BusQuiet::Active => return None,
+            BusQuiet::Until(at) => next = wake(next, at)?,
+            BusQuiet::Idle => {}
         }
-        if matches!(self.bus.quiescence(now), BusQuiet::Active) {
-            return false;
-        }
+        // Tick step 5 per slave: in-service completions and idle slaves
+        // with a request waiting; then the slave side of the alert
+        // drain (step 6) and the power check (step 8).
         for slot in &self.slaves {
             match slot.pending {
-                Some((completes_at, _)) => {
-                    if completes_at <= now.get() {
-                        return false;
-                    }
-                }
-                None => {
-                    if self.bus.slave_peek(slot.bus_id).is_some() {
-                        return false;
-                    }
-                }
+                Some((completes_at, _)) => next = wake(next, Cycle(completes_at))?,
+                None if self.bus.slave_peek(slot.bus_id).is_some() => return None,
+                None => {}
             }
             if slot
                 .firewall
                 .as_ref()
                 .is_some_and(|f| f.has_pending_alerts())
             {
-                return false;
+                return None;
             }
             if let SlaveKind::Ddr { ddr, lcf } = &slot.kind {
-                if let Some(lcf) = lcf {
-                    if lcf.has_pending_alerts() || lcf.crashed() {
-                        return false;
-                    }
-                }
-                if ddr.torn_stores() > self.torn_seen {
-                    return false;
-                }
-            }
-        }
-        if self.releases.iter().any(|&(at, _)| at <= now.get()) {
-            return false;
-        }
-        if let Some(hys) = &self.degrade {
-            let pressure = self.bus.total_pending_requests() as u64;
-            if hys
-                .next_transition(pressure, now.get())
-                .is_some_and(|at| at <= now.get())
-            {
-                return false;
-            }
-        }
-        if self.reconfig.next_ready().is_some_and(|at| at <= now) {
-            return false;
-        }
-        true
-    }
-
-    /// The earliest cycle at which ticking could change state, found by
-    /// scheduling every component's declared wake into a timing wheel
-    /// whose pop order is the canonical (cycle, component-id, seq)
-    /// order — component ids are assigned in `Soc::tick` polling order.
-    /// Returns `None` when some component could act *this* cycle (the
-    /// fabric is not idle; no skip).
-    fn next_wake_cycle(&self, end: Cycle) -> Option<Cycle> {
-        if !self.is_quiescent() {
-            return None;
-        }
-        let now = self.now;
-        // The fabric is provably idle this cycle: every wake below is
-        // strictly in the future ([`Soc::is_quiescent`] checked), so the
-        // wheel only decides *which* future cycle comes first.
-        let mut wheel = TimingWheel::new(now);
-        let mut component: u32 = 0;
-        // Tick step 0: scheduled environment faults.
-        if let Some(at) = self.faults.next_due() {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick step 1b: watchdog expiry deadlines.
-        if let Some(at) = self.monitor.next_watchdog_deadline() {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick steps 2–3 per master: inbound maturation and the device
-        // itself, via the `Wake` purity contract.
-        for slot in &self.masters {
-            if let Some(&(ready_at, _)) = slot.inbound.front() {
-                wheel.schedule(Cycle(ready_at), component);
-            }
-            if let Some(device) = slot.device.as_deref() {
-                if let Wake::At(at) = device.next_wake(now) {
-                    wheel.schedule(at, component);
+                if lcf
+                    .as_ref()
+                    .is_some_and(|l| l.has_pending_alerts() || l.crashed())
+                    || ddr.torn_stores() > self.torn_seen
+                {
+                    return None;
                 }
             }
-            component += 1;
-        }
-        // Tick step 4: the bus.
-        if let BusQuiet::Until(at) = self.bus.quiescence(now) {
-            wheel.schedule(at, component);
-        }
-        component += 1;
-        // Tick step 5 per slave: in-service completions.
-        for slot in &self.slaves {
-            if let Some((completes_at, _)) = slot.pending {
-                wheel.schedule(Cycle(completes_at), component);
-            }
-            component += 1;
         }
         // Tick step 6b: quarantine releases.
-        if let Some(at) = self.releases.iter().map(|&(at, _)| at).min() {
-            wheel.schedule(Cycle(at), component);
+        for &(at, _) in &self.releases {
+            next = wake(next, Cycle(at))?;
         }
-        component += 1;
         // Tick step 6c: degrade hysteresis. Pressure is constant across
         // a skipped span (nothing issues, grants or completes), so the
         // next transition at constant pressure is exact.
         if let Some(hys) = &self.degrade {
             let pressure = self.bus.total_pending_requests() as u64;
             if let Some(at) = hys.next_transition(pressure, now.get()) {
-                wheel.schedule(Cycle(at), component);
+                next = wake(next, Cycle(at))?;
             }
         }
-        component += 1;
         // Tick step 7: matured reconfigurations.
         if let Some(at) = self.reconfig.next_ready() {
-            wheel.schedule(at, component);
+            next = wake(next, at)?;
         }
-        component += 1;
-        // The run horizon caps every jump.
-        wheel.schedule(end, component);
-        let target = wheel.pop_next().map_or(end, |k| k.at);
-        (target > now).then_some(target)
+        Some(next)
     }
 
     /// Attach (replacing any previous plan) the fault plan whose events

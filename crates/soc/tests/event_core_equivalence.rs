@@ -6,8 +6,9 @@
 //! histogram, rendered byte-for-byte), same memory contents. These tests
 //! pin that contract across the interesting regimes: fault storms with
 //! the full resilience stack, idle-heavy halting runs (where the
-//! fast-forward does the most work), scheduled reconfiguration epochs,
-//! and brownout hysteresis under open-loop flood.
+//! fast-forward does the most work), a scheduled reconfiguration epoch
+//! and a quarantine release each landing inside a skipped stretch, and
+//! brownout hysteresis under open-loop flood.
 
 use secbus_bus::AddrRange;
 use secbus_core::{AdfSet, PolicyUpdate, Rwa, SecurityPolicy};
@@ -99,6 +100,7 @@ fn fast_forward_never_skips_scheduled_fault_epoch_or_watchdog_cycles() {
     // middle of long idle stretches; the watchdog stack is armed. The
     // event core must stop at every one of those cycles.
     use secbus_fault::{FaultEvent, FaultKind};
+    const EPOCH_STAGED_AT: u64 = 60_000;
     let sparse = FaultPlan::new(vec![
         FaultEvent {
             at: secbus_sim::Cycle(40_000),
@@ -121,6 +123,8 @@ fn fast_forward_never_skips_scheduled_fault_epoch_or_watchdog_cycles() {
             ..CaseStudyConfig::default()
         })
     };
+    // The state right after the epoch commit and at the end of the run,
+    // and the ticks the commit's stretch took.
     let run = |core: SimCore| {
         let mut soc = build();
         soc.set_sim_core(core);
@@ -128,6 +132,10 @@ fn fast_forward_never_skips_scheduled_fault_epoch_or_watchdog_cycles() {
         let fw = soc
             .master_firewall_id(0)
             .expect("case study master 0 has a firewall");
+        // Stage the epoch long after the programs halted, so its commit
+        // falls inside a skipped stretch: a commit that landed late
+        // would show in the state one cycle after it.
+        soc.run(EPOCH_STAGED_AT);
         let commit_at = soc.schedule_reconfig(PolicyUpdate {
             firewall: fw,
             policies: vec![
@@ -145,16 +153,88 @@ fn fast_forward_never_skips_scheduled_fault_epoch_or_watchdog_cycles() {
                 ),
             ],
         });
-        soc.run(120_000);
+        let ticks = soc.ticks_executed();
+        soc.run(commit_at.get() + 1 - EPOCH_STAGED_AT);
+        let stretch_ticks = soc.ticks_executed() - ticks;
+        let after_commit = (soc.now().get(), soc.policy_epoch(), soc.metrics_json());
+        soc.run(120_000 - soc.now().get());
         assert_eq!(
             soc.fault_plan().remaining(),
             0,
             "every planned fault cycle was reached"
         );
-        assert!(commit_at.get() < 120_000);
-        (soc.now().get(), soc.metrics_json())
+        let end = (soc.now().get(), soc.policy_epoch(), soc.metrics_json());
+        (after_commit, end, stretch_ticks)
     };
-    assert_eq!(run(SimCore::Stepped), run(SimCore::Event));
+    let (stepped_commit, stepped_end, _) = run(SimCore::Stepped);
+    let (event_commit, event_end, stretch_ticks) = run(SimCore::Event);
+    assert_eq!(stepped_commit.1, 1, "the epoch committed");
+    assert_eq!(stepped_commit, event_commit, "state right after the commit");
+    assert_eq!(stepped_end, event_end, "state at the end of the run");
+    // Nothing else woke in the stretch: the event core ticked only the
+    // cycle it was staged on and the commit cycle.
+    assert_eq!(stretch_ticks, 2, "the commit lands inside an idle stretch");
+}
+
+/// A program for core 1: one store into the public DDR window, which
+/// its policy makes read-only, then halt.
+const ILLEGAL_STORE: &str = r"
+    li   r1, 0x80080000    ; ddr public, read-only for cpu1
+    sw   r1, 0(r1)
+    halt
+";
+
+#[test]
+fn fast_forward_stops_at_a_quarantine_release_inside_an_idle_stretch() {
+    // Core 1 stores once into a window its policy makes read-only, then
+    // halts; at threshold 1 the monitor quarantines its firewall. The
+    // quarantine outlasts every program, so the release falls inside a
+    // skipped stretch and must still happen on its own cycle.
+    const QUARANTINE: u64 = 8_192;
+    const STRETCH: u64 = 1_000;
+    let build = |core: SimCore| {
+        let mut soc = case_study(CaseStudyConfig {
+            programs: Some([
+                CPU0_PROGRAM.into(),
+                ILLEGAL_STORE.into(),
+                CPU2_PROGRAM.into(),
+            ]),
+            monitor_threshold: 1,
+            resilience: Some(CaseResilience {
+                quarantine: QUARANTINE,
+                ..CaseResilience::default()
+            }),
+            ..CaseStudyConfig::default()
+        });
+        soc.set_sim_core(core);
+        soc
+    };
+    let releases = |soc: &Soc| soc.stats().counter("soc.quarantine_releases");
+    // The stepped core finds the first cycle whose state shows the
+    // release.
+    let mut stepped = build(SimCore::Stepped);
+    while releases(&stepped) == 0 {
+        assert!(stepped.now().get() < 4 * QUARANTINE, "no release");
+        stepped.run(1);
+    }
+    let released = stepped.now().get();
+    assert!(released > QUARANTINE, "the quarantine was imposed");
+    let mut event = build(SimCore::Event);
+    event.run(released - STRETCH);
+    let ticks = event.ticks_executed();
+    event.run(STRETCH);
+    assert_eq!(
+        (stepped.now(), stepped.metrics_json()),
+        (event.now(), event.metrics_json()),
+        "state one cycle after the release"
+    );
+    // Nothing else woke in the stretch: the event core ticked only its
+    // first cycle and the release cycle.
+    assert_eq!(
+        event.ticks_executed() - ticks,
+        2,
+        "the release lands inside an idle stretch"
+    );
 }
 
 #[test]
