@@ -207,21 +207,31 @@ fn marker_words_in_private(soc: &Soc, kind: CampaignKind) -> u64 {
 }
 
 /// Campaign writes that made it onto the shared bus (protected mode must
-/// keep this at zero — violating writes die at the interface).
+/// keep this at zero — violating writes die at the interface). Every
+/// grant the bounded bus trace evicted counts as a possible leak, so a
+/// truncated trace fails the 0-bypass gate instead of passing on the
+/// grants it kept.
 fn leaked_writes(soc: &Soc, addrs: &[u32]) -> u64 {
-    soc.bus()
-        .trace()
-        .iter()
-        .filter(|(_, t)| t.op == Op::Write && addrs.contains(&t.addr))
-        .count() as u64
+    let trace = soc.bus().trace();
+    let unseen = if addrs.is_empty() { 0 } else { trace.dropped() };
+    unseen
+        + trace
+            .iter()
+            .filter(|(_, t)| t.op == Op::Write && addrs.contains(&t.addr))
+            .count() as u64
 }
 
 /// First alert matching `pred` at or after `from`, by cycle — fault
 /// noise raised before the attack pivot is not a campaign detection.
+/// `None` once the monitor's bounded log has evicted alerts: the first
+/// match may be among them, so an overflowed log reads as no detection
+/// and fails the soak's gate instead of reporting a later cycle.
 fn first_alert_where(soc: &Soc, from: Cycle, pred: impl Fn(&Violation) -> bool) -> Option<Cycle> {
-    soc.monitor()
-        .log()
-        .iter()
+    let log = soc.monitor().log();
+    if log.dropped() > 0 {
+        return None;
+    }
+    log.iter()
         .find(|(c, a)| *c >= from && pred(&a.violation))
         .map(|(c, _)| *c)
 }
@@ -834,6 +844,21 @@ mod tests {
             seed: 42,
             protected: false,
         })
+    }
+
+    #[test]
+    fn leaked_writes_counts_what_the_bus_trace_evicted() {
+        let (soc, target) = crate::overflow::bus_trace();
+        assert!(soc.bus().trace().dropped() > 0, "the trace overflowed");
+        assert!(leaked_writes(&soc, &[target]) > 0);
+        assert_eq!(leaked_writes(&soc, &[]), 0, "nothing to look for");
+    }
+
+    #[test]
+    fn first_alert_where_refuses_an_overflowed_monitor_log() {
+        let soc = crate::overflow::monitor_log();
+        assert!(soc.monitor().log().dropped() > 0, "the log overflowed");
+        assert_eq!(first_alert_where(&soc, Cycle(0), |_| true), None);
     }
 
     #[test]

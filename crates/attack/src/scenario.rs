@@ -11,7 +11,7 @@
 //!   reached an IP (the unprotected-region scenarios show exactly when it
 //!   does).
 
-use secbus_bus::{AddrRange, Op, Width};
+use secbus_bus::{AddrRange, Op, Transaction, Width};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
 use secbus_cpu::{assemble, Mb32Core, StreamIp, SyntheticConfig, SyntheticMaster};
 use secbus_mem::{Bram, ExternalDdr};
@@ -158,6 +158,14 @@ fn tamper_soc(read_addr: u32, write_addr: Option<u32>, seed: u64) -> Soc {
             Some(lcf_policies()),
         )
         .build()
+}
+
+/// Whether any granted transaction matching `pred` reached the bus. A
+/// bus trace that evicted grants cannot prove a negative, so it answers
+/// yes: containment fails instead of passing on the grants it kept.
+fn reached_bus(soc: &Soc, pred: impl Fn(&Transaction) -> bool) -> bool {
+    let trace = soc.bus().trace();
+    trace.dropped() > 0 || trace.iter().any(|(_, t)| pred(t))
 }
 
 fn finish(
@@ -307,7 +315,7 @@ fn run_hijack(seed: u64) -> AttackOutcome {
     // must never appear on the bus (writes are checked before the bus);
     // a violating READ request may be granted, but its data is discarded
     // before the IP (covered by the rejection count below).
-    let leaked = soc.bus().trace().iter().any(|(_, t)| {
+    let leaked = reached_bus(&soc, |t| {
         t.op == Op::Write
             && (t.addr == SHARED_BRAM_BASE + 0x8000
                 || (t.addr == SHARED_BRAM_BASE && t.width == Width::Byte))
@@ -383,11 +391,7 @@ fn run_dos(seed: u64) -> AttackOutcome {
         .histogram("traffic.latency")
         .and_then(|h| h.mean())
         .unwrap_or(0.0);
-    let flood_on_bus = soc
-        .bus()
-        .trace()
-        .iter()
-        .any(|(_, t)| t.addr == SHARED_BRAM_BASE + 0x8000);
+    let flood_on_bus = reached_bus(&soc, |t| t.addr == SHARED_BRAM_BASE + 0x8000);
 
     // Contained iff the flood never consumed the bus and the victim's
     // latency stayed within 10% of the clean run.
@@ -473,11 +477,7 @@ fn run_code_injection(seed: u64) -> AttackOutcome {
 
     let detected = soc.monitor().alert_count() > 0;
     // Containment: no store to address 0 on the bus.
-    let leaked = soc
-        .bus()
-        .trace()
-        .iter()
-        .any(|(_, t)| t.op == Op::Write && t.addr < 0x10);
+    let leaked = reached_bus(&soc, |t| t.op == Op::Write && t.addr < 0x10);
     finish(
         Scenario::CodeInjection,
         &soc,
@@ -512,6 +512,14 @@ pub fn run_all_scenarios(seed: u64) -> Vec<AttackOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reached_bus_answers_yes_on_an_overflowed_trace() {
+        let (soc, target) = crate::overflow::bus_trace();
+        assert!(soc.bus().trace().dropped() > 0, "the trace overflowed");
+        assert!(!soc.bus().trace().iter().any(|(_, t)| t.addr == target));
+        assert!(reached_bus(&soc, |t| t.addr == target));
+    }
 
     #[test]
     fn spoof_private_is_detected_and_contained() {

@@ -8,15 +8,11 @@ use secbus_soc::Soc;
 /// Collect activity counts from a finished run (`since` = run start).
 pub fn collect_activity(soc: &Soc, since: Cycle) -> ActivityCounts {
     let bus = soc.bus().stats();
-    let mut sb_checks = 0;
-    for i in 0..soc.master_count() {
-        if let Some(fw) = soc.master_firewall(i) {
-            sb_checks += fw.stats().counter("fw.checked");
-        }
-    }
+    // Every firewall in the fleet runs an SB check per access it sees:
+    // master LFs, slave-side LFs and the LCF's embedded firewall.
+    let sb_checks = soc.firewall_stats().counter("fw.checked");
     let (mut aes_blocks, mut hash_blocks, mut ddr_accesses) = (0, 0, 0);
     if let Some(lcf) = soc.lcf() {
-        sb_checks += lcf.firewall().stats().counter("fw.checked");
         let reads = lcf.stats().counter("lcf.protected_reads");
         let writes = lcf.stats().counter("lcf.protected_writes");
         // Read = 1 decrypt; write = decrypt + re-encrypt.
@@ -70,6 +66,42 @@ mod tests {
         assert!(prot.dynamic_nj > plain.dynamic_nj);
         assert!(act.sb_checks > 0);
         assert!(act.aes_blocks > 0);
+    }
+
+    /// A slave-side LF checks every access it serves, so its SB checks
+    /// are part of the energy bill: one check per BRAM grant here.
+    #[test]
+    fn slave_side_firewall_checks_are_counted() {
+        use secbus_bus::AddrRange;
+        use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
+        use secbus_cpu::{assemble, Mb32Core};
+        use secbus_mem::Bram;
+        use secbus_soc::{SocBuilder, SHARED_BRAM_BASE};
+
+        let program = format!(
+            "li r1, {SHARED_BRAM_BASE:#x}\nsw r1, 0(r1)\nlw r2, 0(r1)\nsw r2, 4(r1)\nhalt\n"
+        );
+        let core = Mb32Core::with_local_program("cpu0", 0, assemble(&program).unwrap());
+        let policy = SecurityPolicy::internal(
+            1,
+            AddrRange::new(SHARED_BRAM_BASE, 0x100),
+            Rwa::ReadWrite,
+            AdfSet::ALL,
+        );
+        let mut soc = SocBuilder::new()
+            .add_master(Box::new(core))
+            .add_bram(
+                "bram",
+                AddrRange::new(SHARED_BRAM_BASE, 0x1000),
+                Bram::new(0x1000),
+                Some(ConfigMemory::with_policies(vec![policy]).unwrap()),
+            )
+            .build();
+        let start = soc.now();
+        soc.run_until_halt(10_000);
+        let activity = collect_activity(&soc, start);
+        assert_eq!(activity.bus_grants, 3);
+        assert_eq!(activity.sb_checks, 3, "the BRAM's LF checked every access");
     }
 
     #[test]

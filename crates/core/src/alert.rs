@@ -109,6 +109,9 @@ impl MonitorCounter {
 #[derive(Debug)]
 pub struct SecurityMonitor {
     log: EventLog<Alert>,
+    /// The first alert ever observed, kept at push time: the log is a
+    /// bounded ring and evicts it once full.
+    first: Option<(Cycle, Alert)>,
     stats: Stats,
     /// Violation *budget* per firewall id (index = FirewallId.0): counts
     /// offenses toward the block threshold and resets on quarantine
@@ -138,6 +141,7 @@ impl SecurityMonitor {
     pub fn new(block_threshold: u64) -> Self {
         SecurityMonitor {
             log: EventLog::new(4096),
+            first: None,
             stats: Stats::slotted(MonitorCounter::KEYS, &[]),
             per_firewall: Vec::new(),
             alerts_total: Vec::new(),
@@ -268,6 +272,9 @@ impl SecurityMonitor {
             .incr_slot(MonitorCounter::violation(alert.violation));
         let at = alert.at;
         let fw = alert.firewall;
+        if self.first.is_none() {
+            self.first = Some((at, alert.clone()));
+        }
         self.log.push(at, alert);
 
         if offense && self.block_threshold > 0 && self.per_firewall[idx] >= self.block_threshold {
@@ -327,12 +334,14 @@ impl SecurityMonitor {
         self.per_firewall.get(fw.0 as usize).copied().unwrap_or(0)
     }
 
-    /// The first alert ever recorded, if any (detection-latency metric).
+    /// The first alert ever recorded, if any (detection-latency metric),
+    /// even after the bounded [`SecurityMonitor::log`] has evicted it.
     pub fn first_alert(&self) -> Option<&(Cycle, Alert)> {
-        self.log.first()
+        self.first.as_ref()
     }
 
-    /// The retained audit trail.
+    /// The retained audit trail: the most recent 4 096 alerts. Check
+    /// its `dropped()` before reading it as the whole history.
     pub fn log(&self) -> &EventLog<Alert> {
         &self.log
     }
@@ -380,6 +389,19 @@ mod tests {
         assert_eq!(m.alerts_from(FirewallId(9)), 0);
         assert_eq!(m.first_alert().unwrap().0, Cycle(5));
         assert_eq!(m.stats().counter("monitor.violation.bad_format"), 1);
+    }
+
+    /// More alerts than the log retains: the first alert is still the
+    /// first ever recorded, not the oldest one the ring kept.
+    #[test]
+    fn first_alert_outlives_the_bounded_log() {
+        let mut m = SecurityMonitor::new(0);
+        for at in 0..5_000u64 {
+            m.observe(alert((at % 3) as u8, Violation::NoPolicy, at + 7));
+        }
+        assert!(m.log().dropped() > 0, "the ring overflowed");
+        let (cycle, first) = m.first_alert().unwrap();
+        assert_eq!((*cycle, first.firewall), (Cycle(7), FirewallId(0)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! epoch counter. One bad table means *no* firewall moves — the fleet is
 //! never left straddling two security postures.
 
-use secbus_sim::{Cycle, EventLog, Stats};
+use secbus_sim::{Cycle, Stats};
 
 use crate::config::{ConfigMemory, PolicyOverlap};
 use crate::firewall::{FirewallId, LocalFirewall};
@@ -89,7 +89,6 @@ pub struct ReconfigController {
     queue: Vec<(Cycle, u64, PolicyUpdate)>,
     next_seq: u64,
     commit_fault: Option<u8>,
-    log: EventLog<(FirewallId, u64)>,
     stats: Stats,
     epoch: u64,
     firewall_epochs: Vec<(FirewallId, u64)>,
@@ -104,7 +103,6 @@ impl ReconfigController {
             queue: Vec::new(),
             next_seq: 0,
             commit_fault: None,
-            log: EventLog::new(256),
             stats: Stats::new(),
             epoch: 0,
             firewall_epochs: Vec::new(),
@@ -213,7 +211,7 @@ impl ReconfigController {
         }
     }
 
-    /// Apply a ready update to its firewall, recording the new generation.
+    /// Apply a ready update to its firewall; returns the new generation.
     ///
     /// Also lifts an administrative block: reconfiguration is the paper's
     /// envisioned recovery path after an attack forced a lockdown.
@@ -234,8 +232,6 @@ impl ReconfigController {
         self.epoch += 1;
         self.note_swap(update.firewall);
         self.stats.incr("reconfig.applied");
-        self.log
-            .push(Cycle(generation), (update.firewall, generation));
         Ok(generation)
     }
 
@@ -307,23 +303,15 @@ impl ReconfigController {
                 .iter_mut()
                 .find(|f| f.id() == update.firewall)
                 .expect("presence checked in prepare");
-            let generation = fw
-                .config_mut()
+            fw.config_mut()
                 .swap(update.policies)
                 .expect("table validated in prepare");
             fw.unblock();
             self.note_swap(update.firewall);
             self.stats.incr("reconfig.applied");
-            self.log
-                .push(Cycle(generation), (update.firewall, generation));
         }
         self.stats.incr("reconfig.epochs_committed");
         Ok(self.epoch)
-    }
-
-    /// Audit log of applied swaps `(firewall, generation)`.
-    pub fn log(&self) -> &EventLog<(FirewallId, u64)> {
-        &self.log
     }
 
     /// Controller statistics.

@@ -20,6 +20,7 @@
 
 pub mod casestudy;
 pub mod degrade;
+mod fleet;
 mod inflight;
 pub mod overload;
 pub mod reconfig_run;

@@ -22,6 +22,7 @@ use secbus_sim::{
 };
 
 use crate::degrade::{DegradeConfig, Hysteresis, Transition};
+use crate::fleet::{Fleet, Home, Member};
 use crate::inflight::{InFlight, InFlightTable};
 
 stat_keys! {
@@ -383,23 +384,19 @@ impl SocBuilder {
         }
         let mut bus = SharedBus::new(self.bus_config, self.arbiter);
         let tracer = self.trace_capacity.map(Tracer::new);
-        let mut next_fw = 0u8;
-        let mut alloc_fw = || {
-            let id = FirewallId(next_fw);
-            next_fw += 1;
-            id
-        };
+        let mut fleet = Fleet::default();
 
         let mut masters: Vec<MasterSlot> = self
             .masters
             .into_iter()
-            .map(|(device, policies, limit)| {
+            .enumerate()
+            .map(|(idx, (device, policies, limit))| {
                 let bus_id = bus.add_master();
                 let firewall = if self.security {
                     policies.map(|p| {
-                        let fw =
-                            LocalFirewall::new(alloc_fw(), format!("LF {}", device.label()), p)
-                                .with_timing(self.sb_timing);
+                        let id = fleet.admit(Home::Master(idx));
+                        let fw = LocalFirewall::new(id, format!("LF {}", device.label()), p)
+                            .with_timing(self.sb_timing);
                         match limit {
                             Some(l) => fw.with_rate_limit(l),
                             None => fw,
@@ -426,8 +423,12 @@ impl SocBuilder {
                 .expect("overlapping BRAM range");
             let firewall = if self.security {
                 policies.map(|p| {
-                    LocalFirewall::new(alloc_fw(), format!("LF {label}"), p)
-                        .with_timing(self.sb_timing)
+                    LocalFirewall::new(
+                        fleet.admit(Home::Slave(slaves.len())),
+                        format!("LF {label}"),
+                        p,
+                    )
+                    .with_timing(self.sb_timing)
                 })
             } else {
                 None
@@ -479,10 +480,11 @@ impl SocBuilder {
             }
             let bus_id = bus.add_slave();
             bus.map_range(bus_id, range).expect("overlapping DDR range");
+            fleet.set_ddr(slaves.len());
             let lcf = if self.security {
                 lcf_policies.map(|p| {
                     let mut lcf = LocalCipheringFirewall::new(
-                        alloc_fw(),
+                        fleet.admit(Home::Lcf),
                         format!("LCF {label}"),
                         p,
                         range.base,
@@ -541,18 +543,11 @@ impl SocBuilder {
         if let Some(t) = &tracer {
             bus.set_tracer(t.clone());
             monitor.set_tracer(t.clone());
-            for slot in &mut masters {
-                if let Some(fw) = slot.firewall.as_mut() {
-                    fw.set_tracer(t.clone());
-                }
-            }
-            for slot in &mut slaves {
-                if let Some(fw) = slot.firewall.as_mut() {
-                    fw.set_tracer(t.clone());
-                }
-                if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                    lcf.set_tracer(t.clone());
-                }
+            fleet.for_each_mut(&mut masters, &mut slaves, |fw| fw.set_tracer(t.clone()));
+            // The LCF's own crypto-side events (this wires its firewall
+            // a second time, harmlessly).
+            if let Some((_, Some(lcf))) = fleet.ddr_mut(&mut slaves) {
+                lcf.set_tracer(t.clone());
             }
         }
 
@@ -572,6 +567,7 @@ impl SocBuilder {
             bus,
             masters,
             slaves,
+            fleet,
             monitor,
             reconfig,
             releases: Vec::new(),
@@ -617,7 +613,7 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-enum SlaveKind {
+pub(crate) enum SlaveKind {
     Bram(Box<Bram>),
     Ddr {
         ddr: Box<ExternalDdr>,
@@ -625,10 +621,10 @@ enum SlaveKind {
     },
 }
 
-struct MasterSlot {
-    bus_id: MasterId,
+pub(crate) struct MasterSlot {
+    pub(crate) bus_id: MasterId,
     device: Option<Box<dyn BusMaster>>,
-    firewall: Option<LocalFirewall>,
+    pub(crate) firewall: Option<LocalFirewall>,
     /// Transactions on the bus whose response needs a verdict stamp, the
     /// inbound read check, or the watchdog/retry path.
     inflight: InFlightTable,
@@ -638,12 +634,12 @@ struct MasterSlot {
     ready: VecDeque<Response>,
 }
 
-struct SlaveSlot {
+pub(crate) struct SlaveSlot {
     bus_id: SlaveId,
     label: String,
     base: u32,
-    kind: SlaveKind,
-    firewall: Option<LocalFirewall>,
+    pub(crate) kind: SlaveKind,
+    pub(crate) firewall: Option<LocalFirewall>,
     /// The single in-service transaction and its completion time.
     pending: Option<(u64, Response)>,
     /// Stall cycles (from an injected fault) charged to the next service
@@ -742,54 +738,67 @@ impl PortAdapter<'_> {
     /// to the monitor. Shed is an environment fault at the monitor: it
     /// never burns the master's violation budget, because overload is the
     /// fabric's condition, not the IP's misbehaviour.
-    fn shed(&mut self, op: Op, addr: u32, width: Width, data: u32, burst: u16) -> TxnId {
-        let id = self.bus.alloc_txn_id();
+    fn shed(&mut self, access: Transaction) -> TxnId {
+        let probe = Transaction {
+            id: self.bus.alloc_txn_id(),
+            ..access
+        };
         self.stats.incr_slot(SocCounter::Shed);
         self.stats.incr_slot(shed_slot(self.master.0));
         if let Some(fw) = self.firewall.as_deref_mut() {
-            let probe = Transaction {
-                id,
-                master: self.master,
-                op,
-                addr,
-                width,
-                data,
-                burst: burst.max(1),
-                issued_at: self.now,
-            };
             fw.raise_alert(&probe, Violation::Shed, self.now);
         }
-        if let Some(t) = self.tracer {
-            t.record(
-                self.now,
-                TraceEvent::TxnIssued {
-                    txn: id.0,
-                    master: self.master.0,
-                    addr,
-                    write: op == Op::Write,
-                },
-            );
-            t.record(
-                self.now,
-                TraceEvent::TxnComplete {
-                    txn: id.0,
-                    master: self.master.0,
-                    ok: false,
-                    latency: 0,
-                },
-            );
+        self.refuse(&probe, 0, None, BusError::Overload)
+    }
+
+    /// Answer `txn` at the interface, without the bus: trace it in,
+    /// through `verdict` (when given) and out, and queue `err` for the IP
+    /// `latency` cycles from now.
+    fn refuse(
+        &mut self,
+        txn: &Transaction,
+        latency: u64,
+        verdict: Option<TraceEvent>,
+        err: BusError,
+    ) -> TxnId {
+        self.trace_issue(txn);
+        if let Some(event) = verdict {
+            self.trace(event);
         }
+        self.trace(TraceEvent::TxnComplete {
+            txn: txn.id.0,
+            master: self.master.0,
+            ok: false,
+            latency,
+        });
         self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
         self.inbound.push_back((
-            self.now.get(),
+            self.now.get() + latency,
             Response {
-                txn: id,
+                txn: txn.id,
                 data: 0,
-                result: Err(BusError::Overload),
+                result: Err(err),
                 completed_at: self.now,
             },
         ));
-        id
+        txn.id
+    }
+
+    /// Trace `txn` entering the system.
+    fn trace_issue(&self, txn: &Transaction) {
+        self.trace(TraceEvent::TxnIssued {
+            txn: txn.id.0,
+            master: self.master.0,
+            addr: txn.addr,
+            write: txn.op == Op::Write,
+        });
+    }
+
+    /// Record `event` on the trace spine, when armed.
+    fn trace(&self, event: TraceEvent) {
+        if let Some(t) = self.tracer {
+            t.record(self.now, event);
+        }
     }
 }
 
@@ -819,26 +828,31 @@ fn shed_slot(master: u8) -> SocCounter {
 
 impl MasterAccess for PortAdapter<'_> {
     fn issue(&mut self, op: Op, addr: u32, width: Width, data: u32, burst: u16) -> TxnId {
+        // Every transaction below is this access under its own id.
+        let access = Transaction {
+            id: TxnId(0),
+            master: self.master,
+            op,
+            addr,
+            width,
+            data,
+            burst: burst.max(1),
+            issued_at: self.now,
+        };
         // Fail-secure admission control: a full request queue refuses the
         // access up front instead of growing without bound (or panicking
         // inside the arbiter). The refusal is typed, counted and alerted
         // — an open-loop source sees every shed access fail loudly.
         if self.bus.master_queue_free(self.master) == 0 {
-            return self.shed(op, addr, width, data, burst);
+            return self.shed(access);
         }
+        let bytes = span_bytes(width, burst);
         match (&mut self.firewall, op) {
             // Writes: "before reaching the bus all data are checked".
             (Some(fw), Op::Write) => {
-                let id = self.bus.alloc_txn_id();
                 let probe = Transaction {
-                    id,
-                    master: self.master,
-                    op,
-                    addr,
-                    width,
-                    data,
-                    burst: burst.max(1),
-                    issued_at: self.now,
+                    id: self.bus.alloc_txn_id(),
+                    ..access
                 };
                 let decision = fw.check(&probe, self.now);
                 self.stats
@@ -849,125 +863,48 @@ impl MasterAccess for PortAdapter<'_> {
                 let tainted_sink = decision.allowed
                     && self.taint.as_deref_mut().is_some_and(|te| {
                         matches!(
-                            te.write_verdict(
-                                usize::from(probe.master.0),
-                                addr,
-                                span_bytes(width, burst)
-                            ),
+                            te.write_verdict(usize::from(probe.master.0), addr, bytes),
                             WriteVerdict::Sink(_)
                         )
                     });
                 if tainted_sink {
                     fw.note_violation(&probe, Violation::TaintedSink, self.now);
                     self.stats.incr("soc.taint.sink_blocked");
-                    if let Some(t) = self.tracer {
-                        t.record(
-                            self.now,
-                            TraceEvent::TxnIssued {
-                                txn: id.0,
-                                master: self.master.0,
-                                addr,
-                                write: true,
-                            },
-                        );
-                        t.record(
-                            self.now,
-                            TraceEvent::TaintSink {
-                                txn: id.0,
-                                master: self.master.0,
-                                addr,
-                                blocked: true,
-                            },
-                        );
-                        t.record(
-                            self.now,
-                            TraceEvent::TxnComplete {
-                                txn: id.0,
-                                master: self.master.0,
-                                ok: false,
-                                latency: decision.latency,
-                            },
-                        );
-                    }
-                    self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
-                    self.inbound.push_back((
-                        self.now.get() + decision.latency,
-                        Response {
-                            txn: id,
-                            data: 0,
-                            result: Err(BusError::Discarded),
-                            completed_at: self.now,
-                        },
-                    ));
-                    return id;
-                }
-                if decision.allowed {
-                    // Re-issue through the bus with delayed eligibility; we
-                    // burn the probe id to keep the id space monotone.
-                    let fw_id = fw.id();
-                    self.taint_commit_write(addr, span_bytes(width, burst));
-                    let real = self.bus.issue_at(
-                        self.master,
-                        op,
+                    let sink = TraceEvent::TaintSink {
+                        txn: probe.id.0,
+                        master: self.master.0,
                         addr,
-                        width,
-                        data,
-                        burst,
-                        self.now,
-                        self.now + decision.latency,
-                    );
-                    if let Some(t) = self.tracer {
-                        t.record(
-                            self.now,
-                            TraceEvent::TxnIssued {
-                                txn: real.0,
-                                master: self.master.0,
-                                addr,
-                                write: true,
-                            },
-                        );
-                    }
-                    self.track_issue(
-                        Transaction { id: real, ..probe },
-                        Some(fw_id),
-                        Some(self.now.get() + decision.latency),
-                        false,
-                    );
-                    real
-                } else {
-                    // Discarded at the interface: never reaches the bus.
-                    if let Some(t) = self.tracer {
-                        t.record(
-                            self.now,
-                            TraceEvent::TxnIssued {
-                                txn: id.0,
-                                master: self.master.0,
-                                addr,
-                                write: true,
-                            },
-                        );
-                        t.record(
-                            self.now,
-                            TraceEvent::TxnComplete {
-                                txn: id.0,
-                                master: self.master.0,
-                                ok: false,
-                                latency: decision.latency,
-                            },
-                        );
-                    }
-                    self.stats.record_slot(SocHistogram::VerdictToComplete, 0);
-                    self.inbound.push_back((
-                        self.now.get() + decision.latency,
-                        Response {
-                            txn: id,
-                            data: 0,
-                            result: Err(BusError::Discarded),
-                            completed_at: self.now,
-                        },
-                    ));
-                    id
+                        blocked: true,
+                    };
+                    return self.refuse(&probe, decision.latency, Some(sink), BusError::Discarded);
                 }
+                if !decision.allowed {
+                    // Discarded at the interface: never reaches the bus.
+                    return self.refuse(&probe, decision.latency, None, BusError::Discarded);
+                }
+                // Re-issue through the bus with delayed eligibility; we
+                // burn the probe id to keep the id space monotone.
+                let fw_id = fw.id();
+                self.taint_commit_write(addr, bytes);
+                let real = self.bus.issue_at(
+                    self.master,
+                    op,
+                    addr,
+                    width,
+                    data,
+                    burst,
+                    self.now,
+                    self.now + decision.latency,
+                );
+                let txn = Transaction { id: real, ..access };
+                self.trace_issue(&txn);
+                self.track_issue(
+                    txn,
+                    Some(fw_id),
+                    Some(self.now.get() + decision.latency),
+                    false,
+                );
+                real
             }
             // Reads: issued immediately; data checked on the way back.
             (Some(fw), Op::Read) => {
@@ -975,28 +912,9 @@ impl MasterAccess for PortAdapter<'_> {
                 let id = self
                     .bus
                     .issue(self.master, op, addr, width, data, burst, self.now);
-                let txn = Transaction {
-                    id,
-                    master: self.master,
-                    op,
-                    addr,
-                    width,
-                    data,
-                    burst: burst.max(1),
-                    issued_at: self.now,
-                };
-                if let Some(t) = self.tracer {
-                    t.record(
-                        self.now,
-                        TraceEvent::TxnIssued {
-                            txn: id.0,
-                            master: self.master.0,
-                            addr,
-                            write: false,
-                        },
-                    );
-                }
-                self.taint_read(addr, span_bytes(width, burst));
+                let txn = Transaction { id, ..access };
+                self.trace_issue(&txn);
+                self.taint_read(addr, bytes);
                 self.track_issue(txn, Some(fw_id), None, true);
                 id
             }
@@ -1005,52 +923,27 @@ impl MasterAccess for PortAdapter<'_> {
                 let id = self
                     .bus
                     .issue(self.master, op, addr, width, data, burst, self.now);
-                let txn = Transaction {
-                    id,
-                    master: self.master,
-                    op,
-                    addr,
-                    width,
-                    data,
-                    burst: burst.max(1),
-                    issued_at: self.now,
-                };
-                if let Some(t) = self.tracer {
-                    t.record(
-                        self.now,
-                        TraceEvent::TxnIssued {
-                            txn: id.0,
-                            master: self.master.0,
-                            addr,
-                            write: op == Op::Write,
-                        },
-                    );
-                }
+                let txn = Transaction { id, ..access };
+                self.trace_issue(&txn);
                 // DIFT without a firewall: taint is still tracked, but
                 // there is nothing to raise an alert through and nothing
                 // to block with — a sink reach is *counted* and let
                 // through, which is exactly the bare-mode damage metric.
                 match op {
-                    Op::Read => self.taint_read(addr, span_bytes(width, burst)),
+                    Op::Read => self.taint_read(addr, bytes),
                     Op::Write => {
-                        let bytes = span_bytes(width, burst);
                         let m = usize::from(self.master.0);
                         let reached_sink = self.taint.as_deref_mut().is_some_and(|te| {
                             matches!(te.write_verdict(m, addr, bytes), WriteVerdict::Sink(_))
                         });
                         if reached_sink {
                             self.stats.incr("soc.taint.unalerted_sinks");
-                            if let Some(t) = self.tracer {
-                                t.record(
-                                    self.now,
-                                    TraceEvent::TaintSink {
-                                        txn: id.0,
-                                        master: self.master.0,
-                                        addr,
-                                        blocked: false,
-                                    },
-                                );
-                            }
+                            self.trace(TraceEvent::TaintSink {
+                                txn: id.0,
+                                master: self.master.0,
+                                addr,
+                                blocked: false,
+                            });
                         }
                         self.taint_commit_write(addr, bytes);
                     }
@@ -1073,6 +966,8 @@ pub struct Soc {
     bus: SharedBus,
     masters: Vec<MasterSlot>,
     slaves: Vec<SlaveSlot>,
+    /// Where each firewall lives, and which slave is the DDR.
+    fleet: Fleet,
     monitor: SecurityMonitor,
     reconfig: ReconfigController,
     /// Scheduled quarantine releases: (cycle, firewall).
@@ -1268,23 +1163,13 @@ impl Soc {
                 .add_slot(SocCounter::OrphanCompletions, orphans.len() as u64);
         }
 
-        // 6. Alert network: firewalls -> monitor -> reactions. Drain order
-        //    is master LFs in master order, then each slave's LF, then its
-        //    LCF.
+        // 6. Alert network: firewalls -> monitor -> reactions, drained in
+        //    fleet (id) order.
         let mut alerts = std::mem::take(&mut self.alerts);
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut() {
-                fw.drain_alerts_into(&mut alerts);
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut() {
-                fw.drain_alerts_into(&mut alerts);
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                lcf.drain_alerts_into(&mut alerts);
-            }
-        }
+        self.fleet
+            .for_each_mut(&mut self.masters, &mut self.slaves, |fw| {
+                fw.drain_alerts_into(&mut alerts)
+            });
         for alert in alerts.drain(..) {
             match self.monitor.observe(alert) {
                 Reaction::BlockIp(fw_id) => self.block_firewall(fw_id),
@@ -1334,25 +1219,25 @@ impl Soc {
                 } else {
                     "soc.degrade_exits"
                 });
-                for (idx, slot) in self.slaves.iter_mut().enumerate() {
-                    if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                        lcf.set_brownout(brownout);
-                        if let Some(tr) = &self.tracer {
-                            tr.record(
-                                now,
-                                match t {
-                                    Transition::Enter => TraceEvent::DegradeEnter {
-                                        region: idx as u8,
-                                        from: "verify",
-                                        to: "cipher_only",
-                                    },
-                                    Transition::Exit { cycles } => TraceEvent::DegradeExit {
-                                        region: idx as u8,
-                                        cycles,
-                                    },
+                if let (Some(idx), Some((_, Some(lcf)))) =
+                    (self.fleet.ddr_index(), self.fleet.ddr_mut(&mut self.slaves))
+                {
+                    let region = idx as u8;
+                    lcf.set_brownout(brownout);
+                    if let Some(tr) = &self.tracer {
+                        tr.record(
+                            now,
+                            match t {
+                                Transition::Enter => TraceEvent::DegradeEnter {
+                                    region,
+                                    from: "verify",
+                                    to: "cipher_only",
                                 },
-                            );
-                        }
+                                Transition::Exit { cycles } => {
+                                    TraceEvent::DegradeExit { region, cycles }
+                                }
+                            },
+                        );
                     }
                 }
             }
@@ -1366,26 +1251,11 @@ impl Soc {
         // 8. A torn DDR burst means the power died mid-store: the moment
         //    the tear lands anywhere (LCF block write or raw store), the
         //    whole system goes dark with it.
-        let mut died = false;
-        for slot in &self.slaves {
-            if let SlaveKind::Ddr { ddr, lcf } = &slot.kind {
-                let crashed = lcf.as_ref().is_some_and(|l| l.crashed());
-                if crashed || ddr.torn_stores() > self.torn_seen {
-                    died = true;
-                }
+        if let Some((ddr, lcf)) = self.fleet.ddr(&self.slaves) {
+            if lcf.is_some_and(|l| l.crashed()) || ddr.torn_stores() > self.torn_seen {
+                self.torn_seen = ddr.torn_stores();
+                self.power_cut();
             }
-        }
-        if died {
-            self.torn_seen = self
-                .slaves
-                .iter()
-                .filter_map(|s| match &s.kind {
-                    SlaveKind::Ddr { ddr, .. } => Some(ddr.torn_stores()),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            self.power_cut();
         }
 
         self.now = now.next();
@@ -1531,15 +1401,11 @@ impl Soc {
         self.stats.incr(kind.soc_key());
         match kind {
             FaultKind::DdrBitFlip { offset, bit } => {
-                for slot in &mut self.slaves {
-                    if let SlaveKind::Ddr { ddr, .. } = &mut slot.kind {
-                        if ddr.size() == 0 {
-                            return;
-                        }
+                if let Some((ddr, _)) = self.fleet.ddr_mut(&mut self.slaves) {
+                    if ddr.size() > 0 {
                         let off = offset % ddr.size();
                         let byte = ddr.snoop(off, 1)[0] ^ (1 << (bit % 8));
                         ddr.tamper(off, &[byte]);
-                        return;
                     }
                 }
             }
@@ -1563,50 +1429,31 @@ impl Soc {
                 entry,
                 bit,
             } => {
-                let mut configs: Vec<&mut ConfigMemory> = Vec::new();
-                for slot in &mut self.masters {
-                    if let Some(fw) = slot.firewall.as_mut() {
-                        configs.push(fw.config_mut());
+                // The selector picks a fleet member by position, which is
+                // its id.
+                if self.fleet.len() > 0 {
+                    let id = FirewallId((usize::from(firewall) % self.fleet.len()) as u8);
+                    if let Some(fw) = self.fleet.get_mut(id, &mut self.masters, &mut self.slaves) {
+                        fw.config_mut().corrupt_entry_bit(entry, bit);
                     }
-                }
-                for slot in &mut self.slaves {
-                    if let Some(fw) = slot.firewall.as_mut() {
-                        configs.push(fw.config_mut());
-                    }
-                    if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                        configs.push(lcf.firewall_mut().config_mut());
-                    }
-                }
-                if !configs.is_empty() {
-                    let idx = usize::from(firewall) % configs.len();
-                    configs[idx].corrupt_entry_bit(entry, bit);
                 }
             }
             FaultKind::CcGlitch => {
-                for slot in &mut self.slaves {
-                    if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                        lcf.inject_cc_glitch();
-                    }
+                if let Some((_, Some(lcf))) = self.fleet.ddr_mut(&mut self.slaves) {
+                    lcf.inject_cc_glitch();
                 }
             }
             FaultKind::IcGlitch => {
-                for slot in &mut self.slaves {
-                    if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                        lcf.inject_ic_glitch();
-                    }
+                if let Some((_, Some(lcf))) = self.fleet.ddr_mut(&mut self.slaves) {
+                    lcf.inject_ic_glitch();
                 }
             }
             FaultKind::PowerCut => self.power_cut(),
-            FaultKind::TornWrite { keep_bytes } => {
-                for slot in &mut self.slaves {
-                    if let SlaveKind::Ddr { ddr, .. } = &mut slot.kind {
-                        ddr.tear_next_store(keep_bytes);
-                        return;
-                    }
-                }
+            FaultKind::TornWrite { keep_bytes } => match self.fleet.ddr_mut(&mut self.slaves) {
+                Some((ddr, _)) => ddr.tear_next_store(keep_bytes),
                 // No DDR to tear: the power still dies.
-                self.power_cut();
-            }
+                None => self.power_cut(),
+            },
             FaultKind::EpochCommitFault { stage } => {
                 self.reconfig.arm_commit_fault(stage);
             }
@@ -1629,84 +1476,52 @@ impl Soc {
         let Some(policy) = self.auto_recover else {
             return;
         };
-        for slot in &mut self.slaves {
-            if let SlaveKind::Ddr {
-                ddr,
-                lcf: Some(lcf),
-            } = &mut slot.kind
+        let (cycles, (key, amount)) =
+            match self
+                .fleet
+                .member_mut(id, &mut self.masters, &mut self.slaves)
             {
-                if lcf.firewall().id() != id {
-                    continue;
-                }
-                let mut cycles = 0u64;
-                for region in lcf.region_configs() {
-                    if region.protection == Protection::None {
-                        continue;
-                    }
-                    if let Ok(c) = lcf.rebuild_region(ddr, region.base) {
-                        cycles += c;
-                    }
-                    if policy.rekey {
-                        let mut key = [0u8; 16];
-                        key[..8].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
-                        key[8..].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
-                        if let Ok(c) = lcf.rekey(ddr, region.base, key) {
+                None => return,
+                Some(Member::Lcf(lcf, ddr)) => {
+                    let mut cycles = 0u64;
+                    for region in lcf.region_configs() {
+                        if region.protection == Protection::None {
+                            continue;
+                        }
+                        if let Ok(c) = lcf.rebuild_region(ddr, region.base) {
                             cycles += c;
                         }
+                        if policy.rekey {
+                            let mut key = [0u8; 16];
+                            key[..8].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
+                            key[8..].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
+                            if let Ok(c) = lcf.rekey(ddr, region.base, key) {
+                                cycles += c;
+                            }
+                        }
                     }
+                    (cycles, ("soc.recovery_cycles", cycles))
                 }
-                self.stats.incr("soc.recoveries");
-                self.stats.add("soc.recovery_cycles", cycles);
-                if let Some(t) = &self.tracer {
-                    t.record(
-                        self.now,
-                        TraceEvent::Recovery {
-                            firewall: id.0,
-                            cycles,
-                        },
-                    );
+                Some(Member::Lf(fw, master)) => {
+                    let repaired = fw.config_mut().scrub();
+                    // Recovery reloads a master IP from its golden image,
+                    // so any tainted data it held is gone with the reset.
+                    if let (Some(te), Some(m)) = (self.taint.as_mut(), master) {
+                        te.scrub_master(usize::from(m.0));
+                    }
+                    (0, ("soc.recovery_scrubs", repaired as u64))
                 }
-                return;
-            }
-        }
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                let repaired = fw.config_mut().scrub();
-                // Recovery reloads the IP from its golden image, so any
-                // tainted data it held is gone with the reset.
-                if let Some(te) = self.taint.as_mut() {
-                    te.scrub_master(usize::from(slot.bus_id.0));
-                }
-                self.stats.incr("soc.recoveries");
-                self.stats.add("soc.recovery_scrubs", repaired as u64);
-                if let Some(t) = &self.tracer {
-                    t.record(
-                        self.now,
-                        TraceEvent::Recovery {
-                            firewall: id.0,
-                            cycles: 0,
-                        },
-                    );
-                }
-                return;
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                let repaired = fw.config_mut().scrub();
-                self.stats.incr("soc.recoveries");
-                self.stats.add("soc.recovery_scrubs", repaired as u64);
-                if let Some(t) = &self.tracer {
-                    t.record(
-                        self.now,
-                        TraceEvent::Recovery {
-                            firewall: id.0,
-                            cycles: 0,
-                        },
-                    );
-                }
-                return;
-            }
+            };
+        self.stats.incr("soc.recoveries");
+        self.stats.add(key, amount);
+        if let Some(t) = &self.tracer {
+            t.record(
+                self.now,
+                TraceEvent::Recovery {
+                    firewall: id.0,
+                    cycles,
+                },
+            );
         }
     }
 
@@ -1806,69 +1621,22 @@ impl Soc {
     }
 
     fn block_firewall(&mut self, id: FirewallId) {
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                fw.block();
-                return;
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                fw.block();
-                return;
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                if lcf.firewall().id() == id {
-                    lcf.firewall_mut().block();
-                    return;
-                }
-            }
+        if let Some(fw) = self.fleet.get_mut(id, &mut self.masters, &mut self.slaves) {
+            fw.block();
         }
     }
 
     fn unblock_firewall(&mut self, id: FirewallId) {
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                fw.unblock();
-                self.stats.incr("soc.quarantine_releases");
-                return;
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == id) {
-                fw.unblock();
-                self.stats.incr("soc.quarantine_releases");
-                return;
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                if lcf.firewall().id() == id {
-                    lcf.firewall_mut().unblock();
-                    self.stats.incr("soc.quarantine_releases");
-                    return;
-                }
-            }
+        if let Some(fw) = self.fleet.get_mut(id, &mut self.masters, &mut self.slaves) {
+            fw.unblock();
+            self.stats.incr("soc.quarantine_releases");
         }
     }
 
     fn apply_update(&mut self, update: PolicyUpdate) {
-        let target = update.firewall;
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == target) {
-                let _ = self.reconfig.apply_to(fw, update);
-                return;
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut().filter(|f| f.id() == target) {
-                let _ = self.reconfig.apply_to(fw, update);
-                return;
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                if lcf.firewall().id() == target {
-                    let _ = self.reconfig.apply_to(lcf.firewall_mut(), update);
-                    return;
-                }
-            }
+        let id = update.firewall;
+        if let Some(fw) = self.fleet.get_mut(id, &mut self.masters, &mut self.slaves) {
+            let _ = self.reconfig.apply_to(fw, update);
         }
     }
 
@@ -1983,14 +1751,6 @@ impl Soc {
             if let Some(&(ready_at, _)) = slot.inbound.front() {
                 next = wake(next, Cycle(ready_at))?;
             }
-            // Alert queues are empty between ticks; verify, don't assume.
-            if slot
-                .firewall
-                .as_ref()
-                .is_some_and(|f| f.has_pending_alerts())
-            {
-                return None;
-            }
             match slot.device.as_deref()?.next_wake(now) {
                 Wake::Now => return None,
                 Wake::At(at) => next = wake(next, at)?,
@@ -2021,29 +1781,25 @@ impl Soc {
             BusQuiet::Idle => {}
         }
         // Tick step 5 per slave: in-service completions and idle slaves
-        // with a request waiting; then the slave side of the alert
-        // drain (step 6) and the power check (step 8).
+        // with a request waiting.
         for slot in &self.slaves {
             match slot.pending {
                 Some((completes_at, _)) => next = wake(next, Cycle(completes_at))?,
                 None if self.bus.slave_peek(slot.bus_id).is_some() => return None,
                 None => {}
             }
-            if slot
-                .firewall
-                .as_ref()
-                .is_some_and(|f| f.has_pending_alerts())
+        }
+        // Tick step 6: alert queues are empty between ticks; verify,
+        // don't assume.
+        if self.firewalls().any(LocalFirewall::has_pending_alerts) {
+            return None;
+        }
+        // Tick step 8: the power check.
+        if let Some((ddr, lcf)) = self.fleet.ddr(&self.slaves) {
+            if lcf.is_some_and(LocalCipheringFirewall::crashed)
+                || ddr.torn_stores() > self.torn_seen
             {
                 return None;
-            }
-            if let SlaveKind::Ddr { ddr, lcf } = &slot.kind {
-                if lcf
-                    .as_ref()
-                    .is_some_and(|l| l.has_pending_alerts() || l.crashed())
-                    || ddr.torn_stores() > self.torn_seen
-                {
-                    return None;
-                }
             }
         }
         // Tick step 6b: quarantine releases.
@@ -2085,21 +1841,18 @@ impl Soc {
     /// failures, tree rebuilds, …).
     pub fn firewall_stats(&self) -> Stats {
         let mut merged = Stats::new();
-        for slot in &self.masters {
-            if let Some(fw) = &slot.firewall {
-                merged.merge(fw.stats());
-            }
+        for fw in self.firewalls() {
+            merged.merge(fw.stats());
         }
-        for slot in &self.slaves {
-            if let Some(fw) = &slot.firewall {
-                merged.merge(fw.stats());
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &slot.kind {
-                merged.merge(lcf.firewall().stats());
-                merged.merge(lcf.stats());
-            }
+        if let Some(lcf) = self.lcf() {
+            merged.merge(lcf.stats());
         }
         merged
+    }
+
+    /// Every firewall in the system, in id order.
+    fn firewalls(&self) -> impl Iterator<Item = &LocalFirewall> {
+        self.fleet.iter(&self.masters, &self.slaves)
     }
 
     /// Current simulated time.
@@ -2154,10 +1907,7 @@ impl Soc {
 
     /// The LCF, if the DDR is protected.
     pub fn lcf(&self) -> Option<&LocalCipheringFirewall> {
-        self.slaves.iter().find_map(|s| match &s.kind {
-            SlaveKind::Ddr { lcf, .. } => lcf.as_deref(),
-            _ => None,
-        })
+        self.fleet.ddr(&self.slaves)?.1
     }
 
     /// The crypto backend the LCF's Confidentiality Core runs on, when
@@ -2171,18 +1921,12 @@ impl Soc {
     /// Raw access to the external DDR — the adversary's physical surface.
     /// (`None` if the system has no DDR.)
     pub fn ddr_mut(&mut self) -> Option<&mut ExternalDdr> {
-        self.slaves.iter_mut().find_map(|s| match &mut s.kind {
-            SlaveKind::Ddr { ddr, .. } => Some(ddr.as_mut()),
-            _ => None,
-        })
+        Some(self.fleet.ddr_mut(&mut self.slaves)?.0)
     }
 
     /// Read-only access to the external DDR.
     pub fn ddr(&self) -> Option<&ExternalDdr> {
-        self.slaves.iter().find_map(|s| match &s.kind {
-            SlaveKind::Ddr { ddr, .. } => Some(ddr.as_ref()),
-            _ => None,
-        })
+        Some(self.fleet.ddr(&self.slaves)?.0)
     }
 
     /// Read the shared BRAM contents (first BRAM slave), for assertions.
@@ -2217,20 +1961,7 @@ impl Soc {
                 },
             );
         }
-        let mut fws: Vec<&mut LocalFirewall> = Vec::new();
-        for slot in &mut self.masters {
-            if let Some(fw) = slot.firewall.as_mut() {
-                fws.push(fw);
-            }
-        }
-        for slot in &mut self.slaves {
-            if let Some(fw) = slot.firewall.as_mut() {
-                fws.push(fw);
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                fws.push(lcf.firewall_mut());
-            }
-        }
+        let mut fws = self.fleet.all_mut(&mut self.masters, &mut self.slaves);
         let result = self.reconfig.commit_epoch(&mut fws, updates);
         if let Some(t) = &self.tracer {
             match &result {
@@ -2430,23 +2161,20 @@ impl Soc {
     /// the LCF is absent or not journaled — there is nothing durable to
     /// capture.
     pub fn checkpoint(&mut self) -> Option<SecureCheckpoint> {
-        let epoch = self.reconfig.epoch();
-        for slot in &mut self.slaves {
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut slot.kind {
-                if !lcf.journal_enabled() {
-                    return None;
-                }
-                if !self.powered_off {
-                    lcf.force_checkpoint();
-                }
-                return Some(SecureCheckpoint {
-                    state: lcf.persistent_state()?,
-                    counter: lcf.anti_rollback_counter()?.clone(),
-                    policy_epoch: epoch,
-                });
-            }
+        let (_, Some(lcf)) = self.fleet.ddr_mut(&mut self.slaves)? else {
+            return None;
+        };
+        if !lcf.journal_enabled() {
+            return None;
         }
-        None
+        if !self.powered_off {
+            lcf.force_checkpoint();
+        }
+        Some(SecureCheckpoint {
+            state: lcf.persistent_state()?,
+            counter: lcf.anti_rollback_counter()?.clone(),
+            policy_epoch: self.reconfig.epoch(),
+        })
     }
 
     /// What boot-time recovery did (present only on a
@@ -2457,11 +2185,12 @@ impl Soc {
 
     /// Descriptions of every slave: (label, base address, protected?).
     pub fn slave_summary(&self) -> Vec<(String, u32, bool)> {
+        let lcf_at = self.lcf().and(self.fleet.ddr_index());
         self.slaves
             .iter()
-            .map(|s| {
-                let protected =
-                    s.firewall.is_some() || matches!(&s.kind, SlaveKind::Ddr { lcf: Some(_), .. });
+            .enumerate()
+            .map(|(idx, s)| {
+                let protected = s.firewall.is_some() || lcf_at == Some(idx);
                 (s.label.clone(), s.base, protected)
             })
             .collect()
@@ -2501,19 +2230,11 @@ impl Soc {
         registry.insert("bus", self.bus.stats());
         registry.insert("monitor", self.monitor.stats());
         registry.insert("reconfig", self.reconfig.stats());
-        for slot in &self.masters {
-            if let Some(fw) = &slot.firewall {
-                registry.insert(fw.label(), fw.stats());
-            }
+        for fw in self.firewalls() {
+            registry.insert(fw.label(), fw.stats());
         }
-        for slot in &self.slaves {
-            if let Some(fw) = &slot.firewall {
-                registry.insert(fw.label(), fw.stats());
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &slot.kind {
-                registry.insert(lcf.firewall().label(), lcf.firewall().stats());
-                registry.insert(lcf.firewall().label(), lcf.stats());
-            }
+        if let Some(lcf) = self.lcf() {
+            registry.insert(lcf.firewall().label(), lcf.stats());
         }
         if let Some(t) = &self.tracer {
             let mut trace = Stats::new();
@@ -2533,9 +2254,9 @@ impl Soc {
     /// Take a security audit snapshot (per-firewall counters + the
     /// monitor's retained alert trail).
     pub fn audit(&self) -> crate::report::AuditReport {
-        let mut firewalls = Vec::new();
-        let mut push_fw = |fw: &LocalFirewall| {
-            firewalls.push(crate::report::FirewallAudit {
+        let firewalls = self
+            .firewalls()
+            .map(|fw| crate::report::FirewallAudit {
                 label: fw.label().to_owned(),
                 id: fw.id().0,
                 checked: fw.stats().counter("fw.checked"),
@@ -2544,21 +2265,8 @@ impl Soc {
                 blocked: fw.is_blocked(),
                 generation: fw.config().generation(),
                 policies: fw.config().len(),
-            });
-        };
-        for slot in &self.masters {
-            if let Some(fw) = slot.firewall.as_ref() {
-                push_fw(fw);
-            }
-        }
-        for slot in &self.slaves {
-            if let Some(fw) = slot.firewall.as_ref() {
-                push_fw(fw);
-            }
-            if let SlaveKind::Ddr { lcf: Some(lcf), .. } = &slot.kind {
-                push_fw(lcf.firewall());
-            }
-        }
+            })
+            .collect();
         let trail = self
             .monitor
             .log()
@@ -3556,47 +3264,13 @@ mod tests {
     /// all depend on it.
     #[test]
     fn one_tick_of_alerts_reaches_the_monitor_in_fleet_order() {
-        let idle = || Mb32Core::with_local_program("cpu", 0, assemble("halt").unwrap());
-        let mut soc = SocBuilder::new()
-            .trace(256)
-            .monitor_threshold(1)
-            .add_protected_master(
-                Box::new(idle()),
-                ConfigMemory::with_policies(vec![rw_policy(1, BRAM_BASE, 0x100)]).unwrap(),
-            )
-            .add_protected_master(
-                Box::new(idle()),
-                ConfigMemory::with_policies(vec![rw_policy(2, BRAM_BASE, 0x100)]).unwrap(),
-            )
-            .add_bram(
-                "bram",
-                AddrRange::new(BRAM_BASE, 0x1000),
-                Bram::new(0x1000),
-                Some(ConfigMemory::with_policies(vec![rw_policy(3, BRAM_BASE, 0x1000)]).unwrap()),
-            )
-            .set_ddr(
-                "ddr",
-                AddrRange::new(CRASH_DDR_BASE, 0x1000),
-                ExternalDdr::new(0x1000),
-                Some(crash_lcf_policies()),
-            )
-            .build();
+        let mut soc = fleet_soc(SocBuilder::new().trace(256).monitor_threshold(1));
         let now = soc.now();
-        let probe = |id: u64, master: u8| Transaction {
-            id: TxnId(id),
-            master: MasterId(master),
-            op: Op::Write,
-            addr: 0,
-            width: Width::Word,
-            data: 0,
-            burst: 1,
-            issued_at: now,
-        };
+        let probe = |id: u64, master: u8| probe_write(TxnId(id), MasterId(master), now);
         // Raised back to front: the LCF first, the first master's LF last.
-        let SlaveKind::Ddr { lcf: Some(lcf), .. } = &mut soc.slaves[1].kind else {
-            panic!("the DDR slave carries the LCF");
-        };
-        lcf.firewall_mut()
+        let (_, lcf) = soc.fleet.ddr_mut(&mut soc.slaves).unwrap();
+        lcf.expect("the DDR slave carries the LCF")
+            .firewall_mut()
             .raise_alert(&probe(1, 0), Violation::IntegrityMismatch, now);
         let slave_lf = soc.slaves[0].firewall.as_mut().unwrap();
         slave_lf.raise_alert(&probe(2, 1), Violation::NoPolicy, now);
@@ -3643,5 +3317,206 @@ mod tests {
         assert!(soc.master_firewall(0).unwrap().is_blocked());
         assert!(soc.master_firewall(1).unwrap().is_blocked());
         assert!(soc.lcf().unwrap().firewall().is_blocked());
+    }
+
+    /// A halted core, so the fleet sees no traffic of its own.
+    fn idle_core(label: &str) -> Box<Mb32Core> {
+        Box::new(Mb32Core::with_local_program(
+            label,
+            0,
+            assemble("halt").unwrap(),
+        ))
+    }
+
+    /// `b` plus two protected masters, a BRAM behind a slave-side LF and
+    /// the DDR behind the LCF.
+    fn fleet_soc(b: SocBuilder) -> Soc {
+        b.add_protected_master(
+            idle_core("cpu0"),
+            ConfigMemory::with_policies(vec![rw_policy(1, BRAM_BASE, 0x100)]).unwrap(),
+        )
+        .add_protected_master(
+            idle_core("cpu1"),
+            ConfigMemory::with_policies(vec![rw_policy(2, BRAM_BASE, 0x100)]).unwrap(),
+        )
+        .add_bram(
+            "bram",
+            AddrRange::new(BRAM_BASE, 0x1000),
+            Bram::new(0x1000),
+            Some(ConfigMemory::with_policies(vec![rw_policy(3, BRAM_BASE, 0x1000)]).unwrap()),
+        )
+        .set_ddr(
+            "ddr",
+            AddrRange::new(CRASH_DDR_BASE, 0x1000),
+            ExternalDdr::new(0x1000),
+            Some(crash_lcf_policies()),
+        )
+        .build()
+    }
+
+    fn probe_write(id: TxnId, master: MasterId, now: Cycle) -> Transaction {
+        Transaction {
+            id,
+            master,
+            op: Op::Write,
+            addr: 0,
+            width: Width::Word,
+            data: 0,
+            burst: 1,
+            issued_at: now,
+        }
+    }
+
+    /// `FirewallId(k)` is the k-th fleet member: master LFs in master
+    /// order (an unprotected master takes no id), then the slave-side
+    /// LF, then the LCF; a build without security has no fleet.
+    #[test]
+    fn firewall_ids_are_fleet_positions() {
+        let members = |soc: &Soc| -> Vec<(u8, String)> {
+            soc.firewalls()
+                .map(|f| (f.id().0, f.label().to_owned()))
+                .collect()
+        };
+        let expected: Vec<(u8, String)> = ["LF cpu0", "LF cpu1", "LF bram", "LCF ddr"]
+            .iter()
+            .enumerate()
+            .map(|(k, label)| (k as u8, label.to_string()))
+            .collect();
+
+        let soc = fleet_soc(SocBuilder::new());
+        assert_eq!(members(&soc), expected);
+        assert_eq!(soc.master_firewall_id(0), Some(FirewallId(0)));
+        assert_eq!(soc.master_firewall_id(1), Some(FirewallId(1)));
+        assert_eq!(
+            soc.slaves[0].firewall.as_ref().map(LocalFirewall::id),
+            Some(FirewallId(2))
+        );
+        assert_eq!(soc.lcf().map(|l| l.firewall().id()), Some(FirewallId(3)));
+        for k in 0..4 {
+            let fw = soc.fleet.get(FirewallId(k), &soc.masters, &soc.slaves);
+            assert_eq!(fw.map(LocalFirewall::id), Some(FirewallId(k)));
+        }
+        assert!(soc
+            .fleet
+            .get(FirewallId(4), &soc.masters, &soc.slaves)
+            .is_none());
+
+        let soc = fleet_soc(SocBuilder::new().add_master(idle_core("bare")));
+        assert_eq!(members(&soc), expected);
+        assert_eq!(soc.master_firewall_id(0), None);
+        assert_eq!(soc.master_firewall_id(1), Some(FirewallId(0)));
+        assert_eq!(soc.master_firewall_id(2), Some(FirewallId(1)));
+
+        let soc = fleet_soc(SocBuilder::new().without_security());
+        assert!(members(&soc).is_empty());
+        assert_eq!(soc.fleet.len(), 0);
+        assert!(soc.lcf().is_none());
+        assert!(soc.ddr().is_some(), "the DDR is still there, unguarded");
+        assert!(soc
+            .slave_summary()
+            .iter()
+            .all(|(_, _, protected)| !protected));
+    }
+
+    /// Every lookup by id lands on exactly the firewall with that id,
+    /// the slave-side LF included: a policy-corruption fault, the
+    /// quarantine an alert earns (block, recovery, release) and a
+    /// scheduled policy update.
+    #[test]
+    fn fleet_lookups_land_on_the_firewall_with_that_id() {
+        use secbus_fault::FaultEvent;
+        for k in 0..4u8 {
+            let only_k = |f: &dyn Fn(&LocalFirewall) -> bool, soc: &Soc| -> Vec<u8> {
+                soc.firewalls()
+                    .filter(|fw| f(fw))
+                    .map(|fw| fw.id().0)
+                    .collect()
+            };
+            let mut soc = fleet_soc(
+                SocBuilder::new()
+                    .trace(1024)
+                    .monitor_threshold(1)
+                    .quarantine(100)
+                    .auto_recover(true),
+            );
+
+            // The fault's selector is reduced modulo the fleet size.
+            soc.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
+                at: Cycle(1),
+                kind: FaultKind::PolicyCorrupt {
+                    firewall: k + 4,
+                    entry: 0,
+                    bit: 3,
+                },
+            }]));
+            soc.run(2);
+            let corrupt = |fw: &LocalFirewall| !fw.config().entry_parity_ok(0);
+            assert_eq!(only_k(&corrupt, &soc), [k], "corruption");
+
+            // One offense on k quarantines k alone and recovers it: a
+            // parity scrub on an LF, tree rebuild and rekey on the LCF.
+            let now = soc.now();
+            soc.fleet
+                .get_mut(FirewallId(k), &mut soc.masters, &mut soc.slaves)
+                .unwrap()
+                .raise_alert(
+                    &probe_write(TxnId(1), MasterId(0), now),
+                    Violation::NoPolicy,
+                    now,
+                );
+            soc.tick();
+            assert_eq!(only_k(&LocalFirewall::is_blocked, &soc), [k], "block");
+            let recoveries: Vec<u8> = soc
+                .tracer()
+                .unwrap()
+                .snapshot()
+                .into_iter()
+                .filter_map(|(_, e)| match e {
+                    TraceEvent::Recovery { firewall, .. } => Some(firewall),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(recoveries, [k], "recovery");
+            let lcf = soc.lcf().unwrap().stats();
+            if k == 3 {
+                assert_eq!(lcf.counter("lcf.tree_rebuilds"), 1);
+                assert_eq!(lcf.counter("lcf.rekeys"), 1);
+                assert!(soc.stats().counter("soc.recovery_cycles") > 0);
+            } else {
+                assert_eq!(lcf.counter("lcf.tree_rebuilds"), 0);
+                assert_eq!(soc.stats().counter("soc.recovery_scrubs"), 1);
+                assert!(only_k(&corrupt, &soc).is_empty(), "scrubbed");
+            }
+
+            // The release lifts k's block and nothing else happens.
+            soc.run(200);
+            assert!(only_k(&LocalFirewall::is_blocked, &soc).is_empty());
+            assert_eq!(soc.stats().counter("soc.quarantine_releases"), 1);
+
+            // A scheduled update swaps k's table alone.
+            let generations = |soc: &Soc| -> Vec<u64> {
+                soc.firewalls().map(|fw| fw.config().generation()).collect()
+            };
+            let before = generations(&soc);
+            let table = soc
+                .fleet
+                .get(FirewallId(k), &soc.masters, &soc.slaves)
+                .unwrap()
+                .config()
+                .policies()
+                .to_vec();
+            let at = soc.schedule_reconfig(PolicyUpdate {
+                firewall: FirewallId(k),
+                policies: table,
+            });
+            soc.run(at.get() - soc.now().get() + 1);
+            let swapped: Vec<u8> = (0..4u8)
+                .filter(|&j| generations(&soc)[usize::from(j)] != before[usize::from(j)])
+                .collect();
+            assert_eq!(swapped, [k], "update");
+            for j in 0..4u8 {
+                assert_eq!(soc.firewall_epoch(FirewallId(j)), u64::from(j == k));
+            }
+        }
     }
 }

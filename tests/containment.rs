@@ -2,10 +2,10 @@
 //! "the attack must not reach the communication architecture but be
 //! stopped in the interface associated with the infected IP").
 
-use secbus_bus::{AddrRange, Op, Width};
+use secbus_bus::{AddrRange, BusConfig, Op, Width};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
 use secbus_cpu::{SyntheticConfig, SyntheticMaster};
-use secbus_integration_tests::BRAM_BASE;
+use secbus_integration_tests::{granted, BRAM_BASE};
 use secbus_mem::Bram;
 use secbus_sim::SimRng;
 use secbus_soc::SocBuilder;
@@ -51,7 +51,7 @@ fn no_violating_write_is_ever_granted_the_bus() {
         soc.run_until_halt(500_000);
 
         // Invariant: every write on the bus lies inside its master's policy.
-        for (_, txn) in soc.bus().trace().iter() {
+        for txn in granted(&soc) {
             if txn.op != Op::Write {
                 continue;
             }
@@ -67,6 +67,41 @@ fn no_violating_write_is_ever_granted_the_bus() {
             "seed {seed}: no violations generated"
         );
     }
+}
+
+/// The grant scan above refuses a bus trace that evicted grants rather
+/// than passing on the window it kept.
+#[test]
+#[should_panic(expected = "evicted grants")]
+fn grant_scan_refuses_an_overflowed_bus_trace() {
+    let master = SyntheticMaster::new(
+        "writer",
+        SyntheticConfig {
+            windows: vec![(BRAM_BASE, 0x100, 1)],
+            read_ratio: 0.0,
+            widths: vec![Width::Word],
+            burst: 1,
+            period: 2,
+            total_ops: 16,
+        },
+        SimRng::new(1),
+    );
+    let mut soc = SocBuilder::new()
+        .bus_config(BusConfig {
+            trace_capacity: 4,
+            ..BusConfig::default()
+        })
+        .add_master(Box::new(master))
+        .add_bram(
+            "bram",
+            AddrRange::new(BRAM_BASE, 0x1000),
+            Bram::new(0x1000),
+            None,
+        )
+        .build();
+    soc.run_until_halt(10_000);
+    assert!(soc.bus().trace().dropped() > 0, "the trace overflowed");
+    let _ = granted(&soc).count();
 }
 
 /// A blocked IP stays silent on the bus from the block onward.

@@ -9,7 +9,7 @@ use secbus_bus::{AddrRange, Op, Width};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
 use secbus_cpu::{SyntheticConfig, SyntheticMaster};
 use secbus_fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
-use secbus_integration_tests::BRAM_BASE;
+use secbus_integration_tests::{granted, BRAM_BASE};
 use secbus_mem::Bram;
 use secbus_sim::{Cycle, SimRng};
 use secbus_soc::casestudy::{
@@ -78,7 +78,7 @@ fn no_violating_write_reaches_the_bus_under_fault_storm() {
             soc.fault_plan().injected() > 0,
             "seed {seed}: storm never fired"
         );
-        for (_, txn) in soc.bus().trace().iter() {
+        for txn in granted(&soc) {
             if txn.op != Op::Write {
                 continue;
             }

@@ -1,6 +1,6 @@
 //! Shared fixtures for the cross-crate integration tests.
 
-use secbus_bus::AddrRange;
+use secbus_bus::{AddrRange, Transaction};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
 use secbus_cpu::{SyntheticConfig, SyntheticMaster};
 use secbus_mem::{Bram, ExternalDdr};
@@ -57,4 +57,19 @@ pub fn synthetic_soc(n: usize, period: u64, total_ops: u64, seed: u64) -> Soc {
             Some(lcf_policies()),
         )
         .build()
+}
+
+/// Every transaction the bus granted, in grant order.
+///
+/// # Panics
+/// Panics if the bounded bus trace evicted any grant: a containment
+/// check must see every grant, not the most recent window.
+pub fn granted(soc: &Soc) -> impl Iterator<Item = &Transaction> {
+    let trace = soc.bus().trace();
+    assert_eq!(
+        trace.dropped(),
+        0,
+        "the bus trace evicted grants; raise BusConfig::trace_capacity"
+    );
+    trace.iter().map(|(_, txn)| txn)
 }
