@@ -145,21 +145,6 @@ pub enum IcFailureMode {
     ServeWithAlert,
 }
 
-/// Explicit region configuration (derived from external policies).
-#[derive(Debug, Clone)]
-pub struct LcfRegionConfig {
-    /// Bus-address range of the region.
-    pub base: u32,
-    /// Region length in bytes (multiple of [`PROTECTION_BLOCK`]).
-    pub len: u32,
-    /// Protection level.
-    pub protection: Protection,
-    /// AES key when ciphered.
-    pub key: Option<[u8; 16]>,
-    /// What to do when integrity verification cannot be trusted.
-    pub ic_failure: IcFailureMode,
-}
-
 struct Region {
     base: u32,
     len: u32,
@@ -181,6 +166,38 @@ impl Region {
     fn block_index(&self, addr: u32) -> usize {
         ((addr - self.base) / PROTECTION_BLOCK) as usize
     }
+
+    /// Install `tree` as the region's integrity tree with a fresh IC node
+    /// cache of `cache_entries` (None: the uncached root walk), so no
+    /// cached node outlives the tree that vouched for it.
+    fn install_tree(&mut self, tree: MerkleTree, cache_entries: Option<usize>) {
+        self.tree = Some(tree);
+        self.ic_cache = cache_entries.map(NodeCache::new);
+    }
+}
+
+/// Protection blocks in a region of `len` bytes: the length of its
+/// time-stamp table, and so of its integrity tree (0 when unprotected).
+fn region_blocks(protection: Protection, len: u32) -> usize {
+    match protection {
+        Protection::None => 0,
+        _ => (len / PROTECTION_BLOCK) as usize,
+    }
+}
+
+/// The integrity tree over the region whose ciphertext starts at device
+/// offset `dev_off`: leaf `i` hashes block `i` as stored in `ddr`, bound
+/// to its index and its time-stamp `tags[i]`.
+fn region_tree(ddr: &ExternalDdr, dev_off: u32, tags: &[u64]) -> MerkleTree {
+    let len = tags.len() as u32 * PROTECTION_BLOCK;
+    let leaves: Vec<Digest> = ddr
+        .snoop(dev_off, len)
+        .chunks_exact(PROTECTION_BLOCK as usize)
+        .zip(tags)
+        .enumerate()
+        .map(|(i, (block, &ts))| leaf_digest(i as u64, ts, block))
+        .collect();
+    MerkleTree::build(&leaves)
 }
 
 /// Why a re-key request was refused.
@@ -322,14 +339,13 @@ impl LocalCipheringFirewall {
                         "protected region must be 16-byte aligned and sized"
                     );
                 }
-                let blocks = (p.region.len / PROTECTION_BLOCK).max(1) as usize;
                 Region {
                     base: p.region.base,
                     len: p.region.len,
                     protection,
                     cipher: p.key.as_ref().map(MemoryCipher::new),
                     tree: None, // built at seal time
-                    timestamps: TimestampTable::new(blocks),
+                    timestamps: TimestampTable::new(region_blocks(protection, p.region.len)),
                     ic_failure: IcFailureMode::default(),
                     ic_cache: None,
                 }
@@ -508,20 +524,6 @@ impl LocalCipheringFirewall {
         }
     }
 
-    /// The current region layout as passive configs (reports, recovery).
-    pub fn region_configs(&self) -> Vec<LcfRegionConfig> {
-        self.regions
-            .iter()
-            .map(|r| LcfRegionConfig {
-                base: r.base,
-                len: r.len,
-                protection: r.protection,
-                key: None, // keys never leave the sealed state
-                ic_failure: r.ic_failure,
-            })
-            .collect()
-    }
-
     /// Override the embedded Security Builder timing.
     pub fn with_sb_timing(mut self, timing: SbTiming) -> Self {
         self.fw = std::mem::replace(
@@ -537,9 +539,9 @@ impl LocalCipheringFirewall {
     /// Returns the cycles the operation would take (boot-time cost).
     pub fn seal(&mut self, ddr: &mut ExternalDdr) -> u64 {
         assert!(!self.sealed, "seal() must run exactly once");
-        let cache_entries = self.ic_cache_entries;
         let mut cycles = 0;
-        for region in &mut self.regions {
+        for idx in 0..self.regions.len() {
+            let region = &self.regions[idx];
             if region.protection == Protection::None {
                 continue;
             }
@@ -552,15 +554,9 @@ impl LocalCipheringFirewall {
             cycles += self.timing.cc_stream_cycles(u64::from(region.len) * 8);
             ddr.tamper(dev_off, &buf);
             if region.protection == Protection::CipherIntegrity {
-                let leaves: Vec<_> = buf
-                    .chunks_exact(PROTECTION_BLOCK as usize)
-                    .enumerate()
-                    .map(|(i, chunk)| leaf_digest(i as u64, 0, chunk))
-                    .collect();
-                region.tree = Some(MerkleTree::build(&leaves));
-                region.ic_cache = cache_entries.map(NodeCache::new);
                 cycles += self.timing.ic_stream_cycles(u64::from(region.len) * 8);
             }
+            self.rebuild_tree(ddr, idx);
         }
         self.sealed = true;
         if self.journal.is_some() {
@@ -653,7 +649,7 @@ impl LocalCipheringFirewall {
             let expected = leaf_digest(block_idx as u64, ts, &block);
             let tree = region.tree.as_ref().expect("integrity region has a tree");
             let full_levels = tree.height();
-            let (raw_verdict, levels, cache_hit) = match region.ic_cache.as_mut() {
+            let (raw_verdict, levels) = match region.ic_cache.as_mut() {
                 Some(cache) => {
                     let v = tree.verify_leaf_cached(block_idx, &expected, cache);
                     self.stats.incr_slot(if v.cache_hit {
@@ -661,31 +657,12 @@ impl LocalCipheringFirewall {
                     } else {
                         LcfCounter::IcCacheMisses
                     });
-                    (v.verified, v.levels_hashed, v.cache_hit)
+                    (v.verified, v.levels_hashed)
                 }
-                None => (tree.verify_leaf(block_idx, &expected), full_levels, false),
+                None => (tree.verify_leaf(block_idx, &expected), full_levels),
             };
-            let charged = self.timing.ic_verify_cycles(levels);
-            latency += charged;
-            self.stats.add_slot(LcfCounter::IcCycles, charged);
-            self.stats
-                .record_slot(LcfHistogram::IcVerifyCycles, charged);
-            if let Some(t) = &self.tracer {
-                t.record(
-                    now,
-                    TraceEvent::IcVerify {
-                        txn: txn.id.0,
-                        cycles: charged,
-                        cache_hit,
-                    },
-                );
-            }
-            if region.ic_cache.is_some() {
-                self.stats.add_slot(
-                    LcfCounter::IcCyclesSaved,
-                    self.timing.ic_verify_cycles(full_levels) - charged,
-                );
-            }
+            let (cached, ic_failure) = (region.ic_cache.is_some(), region.ic_failure);
+            latency += self.charge_ic(txn, now, levels, full_levels, cached);
             let mut verified = raw_verdict;
             if self.ic_glitch {
                 // Transient IC mis-computation: the verdict is inverted
@@ -696,7 +673,7 @@ impl LocalCipheringFirewall {
             }
             if !verified {
                 self.stats.incr("lcf.integrity_failures");
-                match region.ic_failure {
+                match ic_failure {
                     IcFailureMode::BlockReads => {
                         let d = self
                             .fw
@@ -715,6 +692,7 @@ impl LocalCipheringFirewall {
         }
 
         // Confidentiality Core: decrypt.
+        let region = &mut self.regions[region_idx];
         latency += self.timing.cc_latency;
         if let Some(t) = &self.tracer {
             t.record(
@@ -777,37 +755,21 @@ impl LocalCipheringFirewall {
                 // Volatile tree update *before* the DDR burst: the
                 // shadow root must exist when the journal intent is
                 // persisted, so recovery always has a post-state root.
+                // The new leaf is hashed once, for the tree and the intent.
+                let integrity = region.protection == Protection::CipherIntegrity;
+                let new_leaf = (integrity || self.journal.is_some())
+                    .then(|| leaf_digest(block_idx as u64, new_ts, &block));
                 let mut new_root = None;
-                if region.protection == Protection::CipherIntegrity {
-                    let new_leaf = leaf_digest(block_idx as u64, new_ts, &block);
+                if let Some(leaf) = new_leaf.filter(|_| integrity) {
                     let tree = region.tree.as_mut().expect("integrity region has a tree");
                     let full_levels = tree.height();
                     let levels = match region.ic_cache.as_mut() {
-                        Some(cache) => tree.update_leaf_cached(block_idx, new_leaf, cache),
-                        None => tree.update_leaf(block_idx, new_leaf),
+                        Some(cache) => tree.update_leaf_cached(block_idx, leaf, cache),
+                        None => tree.update_leaf(block_idx, leaf),
                     };
-                    let charged = self.timing.ic_verify_cycles(levels);
-                    latency += charged;
-                    self.stats.add_slot(LcfCounter::IcCycles, charged);
-                    self.stats
-                        .record_slot(LcfHistogram::IcVerifyCycles, charged);
-                    if region.ic_cache.is_some() {
-                        self.stats.add_slot(
-                            LcfCounter::IcCyclesSaved,
-                            self.timing.ic_verify_cycles(full_levels) - charged,
-                        );
-                    }
-                    if let Some(t) = &self.tracer {
-                        t.record(
-                            now,
-                            TraceEvent::IcVerify {
-                                txn: txn.id.0,
-                                cycles: charged,
-                                cache_hit: levels < full_levels,
-                            },
-                        );
-                    }
                     new_root = Some(tree.root());
+                    let cached = region.ic_cache.is_some();
+                    latency += self.charge_ic(txn, now, levels, full_levels, cached);
                 }
 
                 // Phase 1: persist the intent before any DDR bit moves.
@@ -819,7 +781,7 @@ impl LocalCipheringFirewall {
                             region: region_idx,
                             block: block_idx,
                             new_ts,
-                            new_leaf: leaf_digest(block_idx as u64, new_ts, &block),
+                            new_leaf: new_leaf.expect("hashed for the journal"),
                             new_root,
                         });
                         latency += JOURNAL_PERSIST_CYCLES;
@@ -865,6 +827,42 @@ impl LocalCipheringFirewall {
         }
     }
 
+    /// Charge one Integrity-Core pass that hashed `levels` of a tree
+    /// `full_levels` high: the cycle counter and histogram, the cycles a
+    /// node cache saved (only when the region is `cached`) and an
+    /// `IcVerify` event. Returns the cycles to add to the latency.
+    fn charge_ic(
+        &mut self,
+        txn: &Transaction,
+        now: Cycle,
+        levels: u32,
+        full_levels: u32,
+        cached: bool,
+    ) -> u64 {
+        let charged = self.timing.ic_verify_cycles(levels);
+        self.stats.add_slot(LcfCounter::IcCycles, charged);
+        self.stats
+            .record_slot(LcfHistogram::IcVerifyCycles, charged);
+        if cached {
+            self.stats.add_slot(
+                LcfCounter::IcCyclesSaved,
+                self.timing.ic_verify_cycles(full_levels) - charged,
+            );
+        }
+        if let Some(t) = &self.tracer {
+            t.record(
+                now,
+                TraceEvent::IcVerify {
+                    txn: txn.id.0,
+                    cycles: charged,
+                    // A walk that stopped short of the root hit the cache.
+                    cache_hit: levels < full_levels,
+                },
+            );
+        }
+        charged
+    }
+
     fn direct_access(
         &mut self,
         ddr: &mut ExternalDdr,
@@ -904,93 +902,103 @@ impl LocalCipheringFirewall {
         new_key: [u8; 16],
     ) -> Result<u64, RekeyError> {
         debug_assert!(self.sealed, "rekey() before seal()");
-        let ddr_base = self.ddr_base;
-        let timing = self.timing;
-        let region_idx = self.region_of(region_addr).ok_or(RekeyError::NoRegion)?;
-        let region = &mut self.regions[region_idx];
-        if region.protection == Protection::None {
+        let idx = self.region_of(region_addr).ok_or(RekeyError::NoRegion)?;
+        if self.regions[idx].protection == Protection::None {
             return Err(RekeyError::NotCiphered);
         }
+        let cycles = self.recipher(ddr, idx, new_key);
+        self.rebuild_tree(ddr, idx);
+        Ok(cycles)
+    }
+
+    /// Quarantine recovery: walk every ciphered region in address order,
+    /// rebuild its integrity tree from the ciphertext currently in memory
+    /// and, when `next_key` yields a key (it is asked once per ciphered
+    /// region), re-key it in place as [`LocalCipheringFirewall::rekey`]
+    /// does. After a burst of faults the tree state is re-baselined
+    /// rather than left permanently poisoned. Returns the modelled
+    /// cycles.
+    ///
+    /// The modelled hardware rebuilds and then re-keys, and is charged
+    /// and counted for both (`lcf.tree_rebuilds`, `lcf.rebuild_cycles`,
+    /// then `lcf.rekeys`, `lcf.rekey_cycles`); the host builds each tree
+    /// once, over the final ciphertext.
+    ///
+    /// Note the trust consequence: whatever is in external memory at
+    /// recovery time becomes the new baseline. Tampering *after* it is
+    /// detected as usual, but the rebuild itself cannot tell a
+    /// fault-garbled block from a genuine one — which is why the SoC only
+    /// triggers it as part of an explicit quarantine-recovery policy.
+    pub fn recover_regions(
+        &mut self,
+        ddr: &mut ExternalDdr,
+        mut next_key: impl FnMut() -> Option<[u8; 16]>,
+    ) -> u64 {
+        debug_assert!(self.sealed, "recover_regions() before seal()");
+        let mut cycles = 0;
+        for idx in 0..self.regions.len() {
+            let region = &self.regions[idx];
+            if region.protection == Protection::None {
+                continue;
+            }
+            if region.protection == Protection::CipherIntegrity {
+                let rebuild = self.timing.ic_stream_cycles(u64::from(region.len) * 8);
+                self.stats.incr("lcf.tree_rebuilds");
+                self.stats.add("lcf.rebuild_cycles", rebuild);
+                cycles += rebuild;
+            }
+            if let Some(key) = next_key() {
+                cycles += self.recipher(ddr, idx, key);
+            }
+            self.rebuild_tree(ddr, idx);
+        }
+        cycles
+    }
+
+    /// Re-cipher ciphered region `idx` in place under `new_key`, one
+    /// 16-byte block at a time: decrypt under the old key, re-encrypt
+    /// under the new one, same address and time-stamp. Charges and counts
+    /// a re-key (one CC stream pass per direction, plus the IC rebuild on
+    /// an integrity region) and returns its cycles; the caller rebuilds
+    /// the tree.
+    fn recipher(&mut self, ddr: &mut ExternalDdr, idx: usize, new_key: [u8; 16]) -> u64 {
+        let region = &mut self.regions[idx];
         let old_cipher = region.cipher.as_ref().expect("ciphered region has a key");
         let new_cipher = MemoryCipher::new(&new_key);
-        let dev_off = region.base - ddr_base;
-        let mut cycles = 0;
-
-        let mut new_leaves = Vec::new();
-        let blocks = (region.len / PROTECTION_BLOCK) as usize;
-        for i in 0..blocks {
-            let block_off = dev_off + i as u32 * PROTECTION_BLOCK;
-            let bus_addr = u64::from(region.base) + u64::from(i as u32 * PROTECTION_BLOCK);
-            let ts = region.timestamps.get(i);
+        let dev_off = region.base - self.ddr_base;
+        for (i, &ts) in region.timestamps.tags().iter().enumerate() {
+            let off = i as u32 * PROTECTION_BLOCK;
+            let bus_addr = u64::from(region.base + off);
             let mut block: [u8; 16] = ddr
-                .snoop(block_off, PROTECTION_BLOCK)
+                .snoop(dev_off + off, PROTECTION_BLOCK)
                 .try_into()
                 .expect("16-byte block");
             old_cipher.apply(bus_addr, ts, &mut block); // decrypt
             new_cipher.apply(bus_addr, ts, &mut block); // re-encrypt
-            ddr.tamper(block_off, &block);
-            if region.protection == Protection::CipherIntegrity {
-                new_leaves.push(leaf_digest(i as u64, ts, &block));
-            }
-        }
-        cycles += 2 * timing.cc_stream_cycles(u64::from(region.len) * 8);
-        if region.protection == Protection::CipherIntegrity {
-            region.tree = Some(MerkleTree::build(&new_leaves));
-            region.ic_cache = self.ic_cache_entries.map(NodeCache::new);
-            cycles += timing.ic_stream_cycles(u64::from(region.len) * 8);
+            ddr.tamper(dev_off + off, &block);
         }
         region.cipher = Some(new_cipher);
+        let bits = u64::from(region.len) * 8;
+        let mut cycles = 2 * self.timing.cc_stream_cycles(bits);
+        if region.protection == Protection::CipherIntegrity {
+            cycles += self.timing.ic_stream_cycles(bits);
+        }
         self.stats
             .add("lcf.cc_bytes_ciphered", 2 * u64::from(region.len));
         self.stats.incr("lcf.rekeys");
         self.stats.add("lcf.rekey_cycles", cycles);
-        Ok(cycles)
+        cycles
     }
 
-    /// Rebuild the integrity tree of the region containing `region_addr`
-    /// from the ciphertext currently in memory (quarantine recovery: after
-    /// a burst of faults the tree state is re-baselined rather than left
-    /// permanently poisoned). Returns the IC cycles the rebuild costs;
-    /// cipher-only regions rebuild nothing and cost 0.
-    ///
-    /// Note the trust consequence: whatever is in external memory at
-    /// rebuild time becomes the new baseline. Tampering *after* the
-    /// rebuild is detected as usual, but the rebuild itself cannot tell a
-    /// fault-garbled block from a genuine one — which is why the SoC only
-    /// triggers it as part of an explicit quarantine-recovery policy.
-    pub fn rebuild_region(
-        &mut self,
-        ddr: &mut ExternalDdr,
-        region_addr: u32,
-    ) -> Result<u64, RekeyError> {
-        debug_assert!(self.sealed, "rebuild_region() before seal()");
-        let ddr_base = self.ddr_base;
-        let timing = self.timing;
-        let region_idx = self.region_of(region_addr).ok_or(RekeyError::NoRegion)?;
-        let region = &mut self.regions[region_idx];
-        if region.protection == Protection::None {
-            return Err(RekeyError::NotCiphered);
+    /// Build region `idx`'s integrity tree over the ciphertext now in
+    /// `ddr` under its current time-stamps, and install it with a fresh
+    /// IC node cache. A region without integrity has no tree.
+    fn rebuild_tree(&mut self, ddr: &ExternalDdr, idx: usize) {
+        let region = &mut self.regions[idx];
+        if region.protection == Protection::CipherIntegrity {
+            let tree = region_tree(ddr, region.base - self.ddr_base, region.timestamps.tags());
+            region.install_tree(tree, self.ic_cache_entries);
         }
-        if region.protection != Protection::CipherIntegrity {
-            return Ok(0);
-        }
-        let dev_off = region.base - ddr_base;
-        let blocks = (region.len / PROTECTION_BLOCK) as usize;
-        let leaves: Vec<_> = (0..blocks)
-            .map(|i| {
-                let block: [u8; 16] = ddr
-                    .snoop(dev_off + i as u32 * PROTECTION_BLOCK, PROTECTION_BLOCK)
-                    .try_into()
-                    .expect("16-byte block");
-                leaf_digest(i as u64, region.timestamps.get(i), &block)
-            })
-            .collect();
-        region.tree = Some(MerkleTree::build(&leaves));
-        region.ic_cache = self.ic_cache_entries.map(NodeCache::new);
-        let cycles = timing.ic_stream_cycles(u64::from(region.len) * 8);
-        self.stats.incr("lcf.tree_rebuilds");
-        self.stats.add("lcf.rebuild_cycles", cycles);
-        Ok(cycles)
     }
 
     /// The protection level at `addr`, if a region covers it.
@@ -998,45 +1006,13 @@ impl LocalCipheringFirewall {
         Self::region_index(&self.regions, addr).map(|i| self.regions[i].protection)
     }
 
-    /// Number of protection blocks in region `idx` (0 for unprotected).
-    fn region_blocks(region: &Region) -> usize {
-        match region.protection {
-            Protection::None => 0,
-            _ => (region.len / PROTECTION_BLOCK).max(1) as usize,
-        }
-    }
-
     /// Does the image's shape match this LCF's region layout?
     fn image_shape_ok(&self, image: &SecureStateImage) -> bool {
         image.regions.len() == self.regions.len()
             && self.regions.iter().zip(&image.regions).all(|(r, ri)| {
-                ri.timestamps.len() == Self::region_blocks(r)
+                ri.timestamps.len() == region_blocks(r.protection, r.len)
                     && ri.root.is_some() == (r.protection == Protection::CipherIntegrity)
             })
-    }
-
-    /// Build placeholder volatile state from whatever is in DDR (used on
-    /// a quarantined boot so the object stays consistent while blocked).
-    fn adopt_ddr_state(&mut self, ddr: &ExternalDdr) {
-        let ddr_base = self.ddr_base;
-        let cache_entries = self.ic_cache_entries;
-        for region in &mut self.regions {
-            if region.protection != Protection::CipherIntegrity {
-                continue;
-            }
-            let dev_off = region.base - ddr_base;
-            let leaves: Vec<Digest> = (0..Self::region_blocks(region))
-                .map(|i| {
-                    let block: [u8; 16] = ddr
-                        .snoop(dev_off + i as u32 * PROTECTION_BLOCK, PROTECTION_BLOCK)
-                        .try_into()
-                        .expect("16-byte block");
-                    leaf_digest(i as u64, region.timestamps.get(i), &block)
-                })
-                .collect();
-            region.tree = Some(MerkleTree::build(&leaves));
-            region.ic_cache = cache_entries.map(NodeCache::new);
-        }
     }
 
     /// Fail-secure end of a recovery boot: adopt placeholder state,
@@ -1047,7 +1023,11 @@ impl LocalCipheringFirewall {
         mut report: RecoveryReport,
         evidence: TamperEvidence,
     ) -> RecoveryReport {
-        self.adopt_ddr_state(ddr);
+        // Placeholder trees over whatever is in DDR, so the object stays
+        // consistent while blocked.
+        for idx in 0..self.regions.len() {
+            self.rebuild_tree(ddr, idx);
+        }
         self.sealed = true;
         self.fw.block();
         self.stats.incr("lcf.recovery_quarantines");
@@ -1199,18 +1179,8 @@ impl LocalCipheringFirewall {
                 Protection::CipherIntegrity => {
                     let expected_root = roots[idx].expect("shape-checked above");
                     let dev_off = region.base - ddr_base;
-                    let blocks = Self::region_blocks(region);
-                    let leaf_at = |i: usize, t: u64| {
-                        let block: [u8; 16] = ddr
-                            .snoop(dev_off + i as u32 * PROTECTION_BLOCK, PROTECTION_BLOCK)
-                            .try_into()
-                            .expect("16-byte block");
-                        leaf_digest(i as u64, t, &block)
-                    };
-                    let ddr_leaves: Vec<Digest> =
-                        (0..blocks).map(|i| leaf_at(i, ts[idx][i])).collect();
                     report.cycles += timing.ic_stream_cycles(u64::from(region.len) * 8);
-                    let mut ddr_tree = MerkleTree::build(&ddr_leaves);
+                    let mut ddr_tree = region_tree(ddr, dev_off, &ts[idx]);
                     let Some(rec) = in_flight else {
                         if ddr_tree.root() != expected_root {
                             evidence = Some(TamperEvidence::RootMismatch { region: idx });
@@ -1225,8 +1195,12 @@ impl LocalCipheringFirewall {
                     let b = rec.block;
                     let shadow_root = rec.new_root.expect("checked in 4a");
                     let path = ddr_tree.proof(b);
-                    let ddr_leaf_old = ddr_leaves[b];
-                    let ddr_leaf_new = leaf_at(b, rec.new_ts);
+                    let ddr_leaf_old = ddr_tree.leaf(b);
+                    let ddr_leaf_new = leaf_digest(
+                        b as u64,
+                        rec.new_ts,
+                        ddr.snoop(dev_off + b as u32 * PROTECTION_BLOCK, PROTECTION_BLOCK),
+                    );
                     let others_match_shadow =
                         MerkleTree::verify_proof(&shadow_root, b, &rec.new_leaf, &path);
                     if MerkleTree::verify_proof(&expected_root, b, &ddr_leaf_old, &path) {
@@ -1296,8 +1270,7 @@ impl LocalCipheringFirewall {
                     !repairs.is_empty() || roots[idx].is_none_or(|r| r == tree.root()),
                     "non-repaired region must reproduce its authenticated root"
                 );
-                region.tree = Some(tree);
-                region.ic_cache = cache_entries.map(NodeCache::new);
+                region.install_tree(tree, cache_entries);
             }
         }
         self.sealed = true;
@@ -1894,11 +1867,6 @@ mod tests {
         let alerts = lcf.drain_alerts();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].violation, Violation::IntegrityMismatch);
-        assert_eq!(
-            lcf.region_configs()[0].ic_failure,
-            IcFailureMode::ServeWithAlert,
-            "mode visible in the region configs"
-        );
     }
 
     #[test]
@@ -1923,14 +1891,14 @@ mod tests {
         ddr.tamper(0x60, &b);
         let t = txn(Op::Read, DDR_BASE + 0x60, Width::Word, 0);
         assert!(lcf.handle(&mut ddr, &t, Cycle(0)).is_err());
-        // Recovery: re-baseline the tree over the current ciphertext.
-        let cycles = lcf.rebuild_region(&mut ddr, DDR_BASE).unwrap();
+        // Recovery: re-baseline the trees over the current ciphertext.
+        let cycles = lcf.recover_regions(&mut ddr, || None);
         assert!(cycles > 0);
         assert!(
             lcf.handle(&mut ddr, &t, Cycle(1)).is_ok(),
             "region live again"
         );
-        assert_eq!(lcf.stats().counter("lcf.tree_rebuilds"), 1);
+        assert_eq!(lcf.stats().counter("lcf.tree_rebuilds"), 2);
         // Tampering after the rebuild is still detected.
         let mut b = ddr.snoop(0x60, 16).to_vec();
         b[0] ^= 2;
@@ -1941,22 +1909,98 @@ mod tests {
         );
     }
 
+    /// Recovery asks for one key per ciphered region and charges a
+    /// rebuild of each integrity region, then (given keys) a re-key of
+    /// each ciphered region. The fixture's regions are 0x100 bytes: an IC
+    /// stream pass costs 20 + ceil(2048 / 1.31) = 1584 cycles and a CC
+    /// pass 11 + ceil(2048 / 4.5) = 467.
     #[test]
-    fn rebuild_respects_region_kinds() {
-        let (mut lcf, mut ddr) = make_lcf();
-        assert_eq!(
-            lcf.rebuild_region(&mut ddr, DDR_CIPHER_BASE_TEST),
-            Ok(0),
-            "cipher-only"
-        );
-        assert_eq!(
-            lcf.rebuild_region(&mut ddr, DDR_BASE + 0x240),
-            Err(RekeyError::NotCiphered)
-        );
-        assert_eq!(
-            lcf.rebuild_region(&mut ddr, DDR_BASE + 0x900),
-            Err(RekeyError::NoRegion)
-        );
+    fn recover_regions_charges_a_rebuild_then_a_rekey() {
+        let keys = [
+            "lcf.cc_bytes_ciphered",
+            "lcf.rebuild_cycles",
+            "lcf.rekey_cycles",
+            "lcf.rekeys",
+            "lcf.tree_rebuilds",
+        ];
+        let cases = [
+            (
+                false,
+                2 * 1584,
+                &[
+                    ("lcf.cc_bytes_ciphered", 3 * 0x100), // the seal
+                    ("lcf.rebuild_cycles", 2 * 1584),
+                    ("lcf.tree_rebuilds", 2),
+                ][..],
+            ),
+            (
+                true,
+                2 * 1584 + 5970,
+                &[
+                    ("lcf.cc_bytes_ciphered", 3 * 0x100 + 3 * 2 * 0x100),
+                    ("lcf.rebuild_cycles", 2 * 1584),
+                    // 2 x (2 x 467 + 1584) + 2 x 467.
+                    ("lcf.rekey_cycles", 5970),
+                    ("lcf.rekeys", 3),
+                    ("lcf.tree_rebuilds", 2),
+                ][..],
+            ),
+        ];
+        for (rekey, cycles, counters) in cases {
+            let (mut lcf, mut ddr) = make_lcf();
+            let mut calls = 0u8;
+            let charged = lcf.recover_regions(&mut ddr, || {
+                calls += 1;
+                rekey.then_some([calls; 16])
+            });
+            assert_eq!(calls, 3, "one key asked per ciphered region");
+            assert_eq!(charged, cycles);
+            let counted: Vec<(&str, u64)> = lcf
+                .stats()
+                .counters()
+                .filter(|(k, _)| keys.contains(k))
+                .collect();
+            assert_eq!(counted, counters);
+        }
+    }
+
+    /// Recovery with keys leaves the same DDR bytes and the same read
+    /// results as `rekey` on each ciphered region, in address order, with
+    /// the same keys.
+    #[test]
+    fn recover_regions_rekeys_like_rekey_in_address_order() {
+        let keys = [[1u8; 16], [2; 16], [3; 16]];
+        let setup = || {
+            let (mut lcf, mut ddr) = make_lcf();
+            for addr in [DDR_BASE + 0x20, DDR_BASE + 0x140, DDR_BASE + 0x20] {
+                let w = txn(Op::Write, addr, Width::Word, addr);
+                lcf.handle(&mut ddr, &w, Cycle(0)).unwrap();
+            }
+            // A fault garbles a stored block; both re-baseline it.
+            let mut b = ddr.snoop(0x60, 16).to_vec();
+            b[5] ^= 0x10;
+            ddr.tamper(0x60, &b);
+            (lcf, ddr)
+        };
+        let (mut lcf, mut ddr) = setup();
+        let mut next = keys.into_iter();
+        lcf.recover_regions(&mut ddr, || next.next());
+        let (mut twin, mut twin_ddr) = setup();
+        for (base, key) in [DDR_BASE, DDR_CIPHER_BASE_TEST, DDR_BASE + 0x300]
+            .into_iter()
+            .zip(keys)
+        {
+            twin.rekey(&mut twin_ddr, base, key).unwrap();
+        }
+        assert_eq!(ddr.snoop(0, 0x400), twin_ddr.snoop(0, 0x400));
+        for addr in (DDR_BASE..DDR_BASE + 0x400).step_by(PROTECTION_BLOCK as usize) {
+            let r = txn(Op::Read, addr, Width::Word, 0);
+            assert_eq!(
+                lcf.handle(&mut ddr, &r, Cycle(1)),
+                twin.handle(&mut twin_ddr, &r, Cycle(1)),
+                "read at {addr:#x}"
+            );
+        }
     }
 
     // ---- crash consistency: journal, checkpoints, recovery ----
@@ -2198,6 +2242,22 @@ mod tests {
                 .stats()
                 .counter("lcf.recovery_quarantine.rolled_back_image"),
             1
+        );
+        // Released, it serves the placeholder trees built over DDR at
+        // boot: a never-written block reads its boot plaintext, and an
+        // offline bit flip in it fails verification.
+        fresh.firewall_mut().unblock();
+        let t = txn(Op::Read, DDR_BASE + 0x40, Width::Word, 0);
+        assert_eq!(
+            fresh.handle(&mut ddr, &t, Cycle(3)).map(|a| a.data),
+            Ok(u32::from_le_bytes([0x40, 0x41, 0x42, 0x43]))
+        );
+        let mut b = ddr.snoop(0x40, 16).to_vec();
+        b[0] ^= 1;
+        ddr.tamper(0x40, &b);
+        assert_eq!(
+            fresh.handle(&mut ddr, &t, Cycle(4)).unwrap_err().0,
+            Violation::IntegrityMismatch
         );
     }
 

@@ -44,7 +44,7 @@ pub use checker::{CheckOutcome, Violation};
 pub use config::ConfigMemory;
 pub use firewall::{Decision, FirewallId, FwCounter, LocalFirewall, RateLimit, SbTiming};
 pub use lcf::{
-    brownout_posture, CryptoTiming, IcFailureMode, LcfCounter, LcfHistogram, LcfRegionConfig,
+    brownout_posture, CryptoTiming, IcFailureMode, LcfCounter, LcfHistogram,
     LocalCipheringFirewall, Protection, RekeyError,
 };
 pub use policy::{

@@ -37,5 +37,5 @@ pub use log::EventLog;
 pub use metrics::MetricsRegistry;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatKey, Stats};
-pub use trace::{TraceBuffer, TraceEvent, Tracer};
+pub use trace::{TraceEvent, Tracer};
 pub use wake::{SimCore, Wake};

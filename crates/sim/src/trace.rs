@@ -4,7 +4,7 @@
 //! measuring reaction time means following one transaction from the cycle a
 //! master issues it, through the firewall verdict and bus/NoC transport, to
 //! the LCF cipher/hash work and final completion. Every layer records
-//! [`TraceEvent`]s into one shared, bounded [`TraceBuffer`] via a cloneable
+//! [`TraceEvent`]s into one shared, bounded ring via a cloneable
 //! [`Tracer`] handle; correlation happens through the ids the layers already
 //! use (bus `TxnId`, NoC `PacketId`, firewall ids), carried here as plain
 //! integers so this module depends on nothing above `secbus-sim`.
@@ -424,52 +424,57 @@ impl TraceEvent {
     }
 }
 
-/// A bounded, cycle-ordered ring of trace events.
+/// A cloneable handle onto one shared, bounded, cycle-ordered ring of
+/// trace events; eviction under bound pressure is counted, never silent.
 ///
-/// A thin wrapper over [`EventLog`] that adds the Chrome-trace exporter;
-/// eviction under bound pressure is counted, never silent.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    log: EventLog<TraceEvent>,
+/// Every component in a `Soc` holds a clone; they all feed the same ring.
+/// `Rc<RefCell<…>>` is deliberate: a `Soc` never crosses threads (sweeps
+/// parallelize across instances), so the handle needs no atomics and makes
+/// the single-threadedness explicit in the type system.
+#[derive(Debug, Clone)]
+pub struct Tracer {
+    log: Rc<RefCell<EventLog<TraceEvent>>>,
 }
 
-impl TraceBuffer {
-    /// A buffer retaining at most `capacity` events (capacity must be > 0).
+impl Tracer {
+    /// A tracer over a fresh ring of `capacity` events (capacity must be
+    /// > 0).
     pub fn new(capacity: usize) -> Self {
-        TraceBuffer {
-            log: EventLog::new(capacity),
+        Tracer {
+            log: Rc::new(RefCell::new(EventLog::new(capacity))),
         }
     }
 
-    /// Record an event at `at`. Callers push in simulation order, so the
-    /// retained window stays cycle-sorted.
-    pub fn push(&mut self, at: Cycle, event: TraceEvent) {
-        self.log.push(at, event);
+    /// Record one event at `at`. Callers record in simulation order, so
+    /// the retained window stays cycle-sorted.
+    #[inline]
+    pub fn record(&self, at: Cycle, event: TraceEvent) {
+        self.log.borrow_mut().push(at, event);
     }
 
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(Cycle, TraceEvent)> {
-        self.log.iter()
+    /// Copy out the retained window, oldest first.
+    pub fn snapshot(&self) -> Vec<(Cycle, TraceEvent)> {
+        self.log.borrow().iter().copied().collect()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Total events ever recorded (retained + dropped).
+    /// Total events ever recorded through this ring (retained + dropped).
     pub fn total(&self) -> u64 {
-        self.log.total()
+        self.log.borrow().total()
     }
 
     /// Events evicted by the bound.
     pub fn dropped(&self) -> u64 {
-        self.log.dropped()
+        self.log.borrow().dropped()
+    }
+
+    /// Number of retained events.
+    pub fn len(&self) -> usize {
+        self.log.borrow().len()
+    }
+
+    /// Whether no events are retained.
+    pub fn is_empty(&self) -> bool {
+        self.log.borrow().is_empty()
     }
 
     /// Export the retained window in Chrome `trace_event` JSON format
@@ -477,8 +482,8 @@ impl TraceBuffer {
     /// cycle; events with a known duration render as complete (`"X"`)
     /// slices, the rest as thread-scoped instants (`"i"`).
     pub fn chrome_trace(&self) -> Json {
-        let events = self
-            .log
+        let log = self.log.borrow();
+        let events = log
             .iter()
             .map(|(at, ev)| {
                 let mut fields = vec![
@@ -508,67 +513,11 @@ impl TraceBuffer {
                 "otherData".to_string(),
                 Json::Obj(vec![
                     ("clock".to_string(), Json::str("simulated cycles")),
-                    ("total".to_string(), Json::uint(self.total())),
-                    ("dropped".to_string(), Json::uint(self.dropped())),
+                    ("total".to_string(), Json::uint(log.total())),
+                    ("dropped".to_string(), Json::uint(log.dropped())),
                 ]),
             ),
         ])
-    }
-}
-
-/// A cloneable handle onto one shared [`TraceBuffer`].
-///
-/// Every component in a `Soc` holds a clone; they all feed the same ring.
-/// `Rc<RefCell<…>>` is deliberate: a `Soc` never crosses threads (sweeps
-/// parallelize across instances), so the handle needs no atomics and makes
-/// the single-threadedness explicit in the type system.
-#[derive(Debug, Clone)]
-pub struct Tracer {
-    buf: Rc<RefCell<TraceBuffer>>,
-}
-
-impl Tracer {
-    /// A tracer over a fresh buffer of `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Tracer {
-            buf: Rc::new(RefCell::new(TraceBuffer::new(capacity))),
-        }
-    }
-
-    /// Record one event at `at`.
-    #[inline]
-    pub fn record(&self, at: Cycle, event: TraceEvent) {
-        self.buf.borrow_mut().push(at, event);
-    }
-
-    /// Copy out the retained window, oldest first.
-    pub fn snapshot(&self) -> Vec<(Cycle, TraceEvent)> {
-        self.buf.borrow().iter().copied().collect()
-    }
-
-    /// Total events ever recorded through this buffer.
-    pub fn total(&self) -> u64 {
-        self.buf.borrow().total()
-    }
-
-    /// Events evicted by the bound.
-    pub fn dropped(&self) -> u64 {
-        self.buf.borrow().dropped()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.borrow().len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.borrow().is_empty()
-    }
-
-    /// Chrome `trace_event` export of the retained window.
-    pub fn chrome_trace(&self) -> Json {
-        self.buf.borrow().chrome_trace()
     }
 }
 
@@ -587,14 +536,14 @@ mod tests {
 
     #[test]
     fn buffer_bounds_and_counts_drops() {
-        let mut buf = TraceBuffer::new(4);
+        let t = Tracer::new(4);
         for i in 0..10 {
-            buf.push(Cycle(i), ev(i));
+            t.record(Cycle(i), ev(i));
         }
-        assert_eq!(buf.len(), 4);
-        assert_eq!(buf.total(), 10);
-        assert_eq!(buf.dropped(), 6);
-        let first = buf.iter().next().unwrap();
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.total(), 10);
+        assert_eq!(t.dropped(), 6);
+        let first = t.snapshot()[0];
         assert_eq!(first.0, Cycle(6), "oldest retained is the 7th push");
     }
 

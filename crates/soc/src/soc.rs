@@ -9,9 +9,9 @@ use secbus_bus::{
 };
 use secbus_core::{
     verify, Alert, ConfidentialityMode, ConfigMemory, CryptoTiming, EpochError, FirewallId,
-    IntegrityMode, LocalCipheringFirewall, LocalFirewall, PolicyProgram, PolicyUpdate, Protection,
-    RateLimit, Reaction, ReconfigController, RecoveryReport, SbTiming, SecureCheckpoint,
-    SecurityMonitor, SecurityPolicy, TaintEngine, TaintTag, Violation, WriteVerdict,
+    IntegrityMode, LocalCipheringFirewall, LocalFirewall, PolicyProgram, PolicyUpdate, RateLimit,
+    Reaction, ReconfigController, RecoveryReport, SbTiming, SecureCheckpoint, SecurityMonitor,
+    SecurityPolicy, TaintEngine, TaintTag, Violation, WriteVerdict,
 };
 use secbus_cpu::{BusMaster, MasterAccess};
 use secbus_fault::{FaultKind, FaultPlan};
@@ -1483,23 +1483,14 @@ impl Soc {
             {
                 None => return,
                 Some(Member::Lcf(lcf, ddr)) => {
-                    let mut cycles = 0u64;
-                    for region in lcf.region_configs() {
-                        if region.protection == Protection::None {
-                            continue;
-                        }
-                        if let Ok(c) = lcf.rebuild_region(ddr, region.base) {
-                            cycles += c;
-                        }
-                        if policy.rekey {
+                    let cycles = lcf.recover_regions(ddr, || {
+                        policy.rekey.then(|| {
                             let mut key = [0u8; 16];
                             key[..8].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
                             key[8..].copy_from_slice(&self.recovery_rng.next_u64().to_le_bytes());
-                            if let Ok(c) = lcf.rekey(ddr, region.base, key) {
-                                cycles += c;
-                            }
-                        }
-                    }
+                            key
+                        })
+                    });
                     (cycles, ("soc.recovery_cycles", cycles))
                 }
                 Some(Member::Lf(fw, master)) => {
@@ -3420,12 +3411,15 @@ mod tests {
 
     /// Every lookup by id lands on exactly the firewall with that id,
     /// the slave-side LF included: a policy-corruption fault, the
-    /// quarantine an alert earns (block, recovery, release) and a
-    /// scheduled policy update.
+    /// quarantine an alert earns (block, recovery with and without a
+    /// re-key, release) and a scheduled policy update.
     #[test]
     fn fleet_lookups_land_on_the_firewall_with_that_id() {
         use secbus_fault::FaultEvent;
-        for k in 0..4u8 {
+        let cases = [true, false]
+            .into_iter()
+            .flat_map(|rekey| (0..4u8).map(move |k| (rekey, k)));
+        for (rekey, k) in cases {
             let only_k = |f: &dyn Fn(&LocalFirewall) -> bool, soc: &Soc| -> Vec<u8> {
                 soc.firewalls()
                     .filter(|fw| f(fw))
@@ -3437,7 +3431,7 @@ mod tests {
                     .trace(1024)
                     .monitor_threshold(1)
                     .quarantine(100)
-                    .auto_recover(true),
+                    .auto_recover(rekey),
             );
 
             // The fault's selector is reduced modulo the fleet size.
@@ -3454,7 +3448,8 @@ mod tests {
             assert_eq!(only_k(&corrupt, &soc), [k], "corruption");
 
             // One offense on k quarantines k alone and recovers it: a
-            // parity scrub on an LF, tree rebuild and rekey on the LCF.
+            // parity scrub on an LF, a tree rebuild on the LCF's one
+            // integrity region, then a re-key when configured.
             let now = soc.now();
             soc.fleet
                 .get_mut(FirewallId(k), &mut soc.masters, &mut soc.slaves)
@@ -3480,8 +3475,13 @@ mod tests {
             let lcf = soc.lcf().unwrap().stats();
             if k == 3 {
                 assert_eq!(lcf.counter("lcf.tree_rebuilds"), 1);
-                assert_eq!(lcf.counter("lcf.rekeys"), 1);
-                assert!(soc.stats().counter("soc.recovery_cycles") > 0);
+                assert_eq!(lcf.counter("lcf.rekeys"), u64::from(rekey));
+                // A 0x100-byte region: IC rebuild 1584 cycles, re-key
+                // 2 x 467 + 1584.
+                assert_eq!(
+                    soc.stats().counter("soc.recovery_cycles"),
+                    if rekey { 1584 + 2518 } else { 1584 }
+                );
             } else {
                 assert_eq!(lcf.counter("lcf.tree_rebuilds"), 0);
                 assert_eq!(soc.stats().counter("soc.recovery_scrubs"), 1);
