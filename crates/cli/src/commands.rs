@@ -12,7 +12,7 @@ use secbus_sim::Cycle;
 use secbus_soc::casestudy::{
     case_study, lcf_policies, CaseStudyConfig, CPU1_PROGRAM, CPU2_PROGRAM, DDR_BASE, DDR_LEN,
 };
-use secbus_soc::{render_topology, Report, SocBuilder};
+use secbus_soc::{render_topology, Report, Soc, SocBuilder};
 
 const USAGE: &str =
     "usage: secbus <asm|disasm|run|observe|attacks|policy|reconfig|table1|fig1|backends> …
@@ -151,125 +151,33 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
         }
         None => None,
     };
-    let mut out = run_program_image(&src, cycles, protected, policies.clone(), image)?;
-    if has_flag(args, "--audit") || has_flag(args, "--audit-json") {
-        let audit = run_audit(&src, cycles, protected, policies)?;
-        if has_flag(args, "--audit-json") {
-            out.push_str(&audit.to_json().render_pretty());
-            out.push('\n');
-        } else {
-            out.push_str(&audit.render());
-        }
+    let (soc, mut out) = run_program_image(&src, cycles, protected, policies, image)?;
+    if has_flag(args, "--audit-json") {
+        out.push_str(&soc.audit().to_json().render_pretty());
+        out.push('\n');
+    } else if has_flag(args, "--audit") {
+        out.push_str(&soc.audit().render());
     }
     if has_flag(args, "--trace") {
-        // Re-run with identical configuration to collect the trace (runs
-        // are deterministic, so the trace matches the report above).
-        out.push_str(&run_trace(&src, cycles, protected)?);
+        out.push_str(&secbus_soc::render_trace(&soc));
+        out.push('\n');
+        out.push_str(&secbus_soc::trace_summary(&soc));
     }
     Ok(out)
 }
 
-fn run_audit(
-    src: &str,
-    cycles: u64,
-    protected: bool,
-    policies: Option<ConfigMemory>,
-) -> Result<secbus_soc::AuditReport, String> {
-    let program = assemble(src).map_err(|e| e.to_string())?;
-    let core = Mb32Core::with_local_program("cpu0", 0, program);
-    let policies = match policies {
-        Some(p) => p,
-        None => ConfigMemory::with_policies(vec![
-            SecurityPolicy::internal(
-                1,
-                AddrRange::new(BRAM_BASE, 0x1_0000),
-                Rwa::ReadWrite,
-                AdfSet::ALL,
-            ),
-            SecurityPolicy::internal(
-                2,
-                AddrRange::new(DDR_BASE, DDR_LEN),
-                Rwa::ReadWrite,
-                AdfSet::ALL,
-            ),
-        ])
-        .map_err(|e| e.to_string())?,
-    };
-    let mut builder = SocBuilder::new();
-    if !protected {
-        builder = builder.without_security();
-    }
-    let mut soc = builder
-        .add_protected_master(Box::new(core), policies)
-        .add_bram(
-            "bram",
-            AddrRange::new(BRAM_BASE, 0x1_0000),
-            Bram::new(0x1_0000),
-            None,
-        )
-        .set_ddr(
-            "ddr",
-            AddrRange::new(DDR_BASE, DDR_LEN),
-            ExternalDdr::new(DDR_LEN),
-            Some(lcf_policies()),
-        )
-        .build();
-    soc.run_until_halt(cycles);
-    Ok(soc.audit())
-}
-
-fn run_trace(src: &str, cycles: u64, protected: bool) -> Result<String, String> {
-    let program = assemble(src).map_err(|e| e.to_string())?;
-    let core = Mb32Core::with_local_program("cpu0", 0, program);
-    let mut builder = SocBuilder::new();
-    if !protected {
-        builder = builder.without_security();
-    }
-    let mut soc = builder
-        .add_master(Box::new(core))
-        .add_bram(
-            "bram",
-            AddrRange::new(BRAM_BASE, 0x1_0000),
-            Bram::new(0x1_0000),
-            None,
-        )
-        .set_ddr(
-            "ddr",
-            AddrRange::new(DDR_BASE, DDR_LEN),
-            ExternalDdr::new(DDR_LEN),
-            Some(lcf_policies()),
-        )
-        .build();
-    soc.run_until_halt(cycles);
-    Ok(secbus_soc::render_trace(&soc) + "\n" + &secbus_soc::trace_summary(&soc))
-}
-
-/// Build the `run` sandbox (one core, 64 KiB BRAM, 1 MiB protected DDR)
-/// with the default policy set, execute, and report.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn run_program(src: &str, cycles: u64, protected: bool) -> Result<String, String> {
-    run_program_with(src, cycles, protected, None)
-}
-
-/// [`run_program`] with an optional caller-supplied policy table.
-pub fn run_program_with(
-    src: &str,
-    cycles: u64,
-    protected: bool,
-    policies: Option<ConfigMemory>,
-) -> Result<String, String> {
-    run_program_image(src, cycles, protected, policies, None)
-}
-
-/// [`run_program_with`] plus an optional Intel-HEX boot image loaded into
-/// the external DDR before the LCF seals it.
-pub fn run_program_image(
+/// Build the `run` sandbox (one core behind its firewall, 64 KiB BRAM,
+/// 1 MiB protected DDR) with `policies` or the default set, load the
+/// optional Intel-HEX boot image into the external DDR before the LCF
+/// seals it, run it once and report. The SoC comes back with the report
+/// so the audit and the bus trace read the same run.
+fn run_program_image(
     src: &str,
     cycles: u64,
     protected: bool,
     policies: Option<ConfigMemory>,
     image: Option<HexImage>,
-) -> Result<String, String> {
+) -> Result<(Soc, String), String> {
     let program = assemble(src).map_err(|e| e.to_string())?;
     let core = Mb32Core::with_local_program("cpu0", 0, program);
     let policies = match policies {
@@ -342,7 +250,7 @@ pub fn run_program_image(
         }
     }
     writeln!(out, "\n{}", Report::collect(&soc, Cycle(0))).unwrap();
-    Ok(out)
+    Ok((soc, out))
 }
 
 /// Run the case-study workload with the observability spine armed and
@@ -816,10 +724,12 @@ mod tests {
 
     #[test]
     fn run_program_end_to_end() {
-        let out = run_program(
+        let (_, out) = run_program_image(
             "li r1, 0x20000000\naddi r2, r0, 7\nsw r2, 0(r1)\nhalt",
             100_000,
             true,
+            None,
+            None,
         )
         .unwrap();
         assert!(out.contains("halted after"));
@@ -829,13 +739,15 @@ mod tests {
 
     #[test]
     fn run_program_reports_budget_exhaustion() {
-        let out = run_program("loop: j loop", 1_000, true).unwrap();
+        let (_, out) = run_program_image("loop: j loop", 1_000, true, None, None).unwrap();
         assert!(out.contains("budget"));
     }
 
     #[test]
     fn run_program_propagates_asm_errors() {
-        let err = run_program("bogus r1", 10, true).unwrap_err();
+        let Err(err) = run_program_image("bogus r1", 10, true, None, None) else {
+            panic!("bogus source assembled");
+        };
         assert!(err.contains("bogus"));
     }
 
@@ -853,11 +765,12 @@ mod tests {
                  "rwa":"ReadWrite","adf":7,"cm":"Bypass","im":"Bypass","key":null}]"#,
         )
         .unwrap();
-        let out = run_program_with(
+        let (_, out) = run_program_image(
             "li r1, 0x20000000\nsw r0, 0(r1)\nhalt",
             100_000,
             true,
             Some(cm),
+            None,
         )
         .unwrap();
         assert!(out.contains("1 alerts"), "{out}");
@@ -870,7 +783,7 @@ mod tests {
         let image =
             secbus_mem::encode_ihex(&[(0x8008_0000, 0xCAFE_F00Du32.to_le_bytes().to_vec())]);
         let img = parse_ihex(&image).unwrap();
-        let out = run_program_image(
+        let (_, out) = run_program_image(
             "li r1, 0x80080000\nlw r2, 0(r1)\nhalt",
             200_000,
             true,
@@ -884,7 +797,9 @@ mod tests {
     #[test]
     fn image_outside_ddr_is_rejected() {
         let img = parse_ihex(&secbus_mem::encode_ihex(&[(0x1000, vec![1])])).unwrap();
-        let err = run_program_image("halt", 100, true, None, Some(img)).unwrap_err();
+        let Err(err) = run_program_image("halt", 100, true, None, Some(img)) else {
+            panic!("an image outside the DDR loaded");
+        };
         assert!(err.contains("outside the DDR"));
     }
 
@@ -909,8 +824,6 @@ mod tests {
 
     #[test]
     fn run_with_trace_lists_bus_activity() {
-        // Use dispatch-level helpers indirectly: call run_trace via the
-        // public path by writing a temp file.
         let dir = std::env::temp_dir();
         let path = dir.join("secbus_cli_trace_test.s");
         fs::write(&path, "li r1, 0x20000000\nsw r0, 0(r1)\nhalt\n").unwrap();
@@ -924,6 +837,42 @@ mod tests {
         .unwrap();
         assert!(out.contains("bus trace:"), "{out}");
         assert!(out.contains("cpu0"));
+    }
+
+    #[test]
+    fn run_trace_and_audit_read_the_reported_run() {
+        // The store to 0x30000000 is out of the default policy: the
+        // firewall discards it, so the bus never grants it, and the audit
+        // and the trace must describe that same run.
+        let path = std::env::temp_dir().join("secbus_cli_one_run_test.s");
+        fs::write(
+            &path,
+            "li r1, 0x20000000\nsw r0, 0(r1)\nli r2, 0x30000000\nsw r0, 0(r2)\nhalt\n",
+        )
+        .unwrap();
+        let out = dispatch(&argv(&[
+            "run",
+            path.to_str().unwrap(),
+            "--audit",
+            "--trace",
+        ]))
+        .unwrap();
+        let number_before = |marker: &str| -> u64 {
+            let end = out
+                .find(marker)
+                .unwrap_or_else(|| panic!("{marker}: {out}"));
+            out[..end].rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let reported = number_before(" grants,");
+        let traced = number_before(" granted (");
+        assert_eq!(traced, reported, "{out}");
+        assert!(
+            out.lines()
+                .any(|l| l.contains("no_policy") && l.ends_with("W 0x30000000")),
+            "the audit shows the discarded store: {out}"
+        );
+        let trace = &out[out.find("bus trace:").unwrap()..];
+        assert!(!trace.contains("0x0030000000"), "{out}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   [`topology::FaultMap`] of *detected* link/router failures and the
 //!   fault-region-aware [`topology::adaptive_route`] that detours
 //!   around them;
-//! * [`link`] — the flit-level link protocol: CRC-32 framing,
-//!   ack/nack sequencing and bounded retransmission;
+//! * [`link`] — CRC-32, the link check whose ≤32-bit burst detection
+//!   lets the protected mesh treat every injected wire flip as caught;
 //! * [`network`] — a packet-level mesh with per-output-link contention,
 //!   per-hop router latency and (when protected) the fault-tolerant
 //!   transport: CRC detection, retransmission, heartbeat router-failure
@@ -24,10 +24,12 @@
 //!   point of the comparison) plus Fiorin-style event probes, enforced
 //!   at egress *and* at the destination's ingress so rerouted traffic
 //!   cannot bypass it;
-//! * [`system`] — request/response workloads over the mesh, with and
-//!   without NI protection, producing latency/throughput numbers the
-//!   `noc_compare` bench puts side by side with the shared bus, and a
-//!   fault-plan-driven soak runner the `noc_soak` bench builds on.
+//! * [`system`] — one closed-loop runner, [`run_noc_soak`], for the
+//!   hot-spot request/response workload, with and without NI
+//!   protection. Under a fault plan with a drain window it is the soak
+//!   the `noc_soak` bench builds on; with no fault plan and no drain
+//!   window it is the plain workload whose latency the `noc_compare`
+//!   bench puts side by side with the shared bus.
 
 pub mod link;
 pub mod network;
@@ -36,15 +38,12 @@ pub mod overload;
 pub mod system;
 pub mod topology;
 
-pub use link::{crc32, Flit, LinkReply, LinkRx, LinkTx, TxStatus};
+pub use link::crc32;
 pub use network::{
     DeliveryInfo, LossReason, Mesh, MeshCounter, MeshHistogram, MeshQuiet, NocAlert, NocConfig,
     Packet, PacketId,
 };
 pub use ni::{NetworkInterface, ProbeReport};
 pub use overload::{run_overload, run_overload_with_core, OverloadConfig, OverloadReport};
-pub use system::{
-    run_noc_soak, run_noc_soak_with_core, run_noc_workload, run_noc_workload_with_core,
-    NocRunReport, NocSoakConfig, NocSoakReport,
-};
+pub use system::{run_noc_soak, run_noc_soak_with_core, NocSoakConfig, NocSoakReport};
 pub use topology::{adaptive_route, xy_route, FaultMap, NodeId, Topology};

@@ -8,9 +8,10 @@
 //! path parallelism (disjoint routes do not contend) and hot-spot
 //! contention (everyone heading to one memory node queues on its links).
 //!
-//! With [`NocConfig::protected`] on, every hop runs the condensed form of
-//! the [`crate::link`] protocol — flit CRC-32, per-link sequence numbers,
-//! ack/nack, bounded retransmission — and the mesh maintains a
+//! With [`NocConfig::protected`] on, every hop models a link protocol —
+//! flit CRC-32 ([`crate::link::crc32`]), per-link sequence numbers,
+//! ack/nack, bounded retransmission — at one attempt per hop per
+//! serialization slot, and the mesh maintains a
 //! [`FaultMap`] fed by two deterministic detectors:
 //!
 //! * **consecutive-CRC/ack-failure streaks** declare a directed link dead

@@ -1,4 +1,4 @@
-//! Request/response workloads over the mesh.
+//! The closed-loop request/response workload over the mesh.
 //!
 //! Initiators sit on the mesh's western column(s), the memory target on
 //! the south-east corner (a classic hot-spot). Each initiator keeps one
@@ -9,11 +9,15 @@
 //! checked *again* by the memory node's ingress APU on arrival, so no
 //! route — XY or detour — bypasses enforcement.
 //!
-//! [`run_noc_soak`] drives the same workload under a seed-reproducible
-//! [`FaultPlan`] and keeps ground-truth books the transport cannot see:
-//! content stamps catch undetected corruption, a silent policy shadow
-//! catches security bypasses, and a drain phase at the end separates
-//! "slow" from "wedged".
+//! [`run_noc_soak`] is the one runner. It drives the workload under a
+//! seed-reproducible [`FaultPlan`] and keeps ground-truth books the
+//! transport cannot see: content stamps catch undetected corruption, a
+//! silent policy shadow catches security bypasses, and a drain phase at
+//! the end separates "slow" from "wedged". [`FaultPlan::empty`] with
+//! `drain_cycles: 0` is the plain workload the `noc_compare` bench puts
+//! next to the shared bus: with no faults the protected transport costs
+//! no cycle, and the ingress APU's check is not charged, so the protected
+//! run differs from the bare one by the egress APU's latency alone.
 
 use secbus_bus::{AddrRange, MasterId, Op, Transaction, TxnId, Width};
 use secbus_core::{AdfSet, CheckOutcome, ConfigMemory, Rwa, SecurityPolicy};
@@ -23,26 +27,6 @@ use secbus_sim::{Cycle, Histogram, SimCore};
 use crate::network::{LossReason, Mesh, MeshQuiet, NocConfig, Packet};
 use crate::ni::NetworkInterface;
 use crate::topology::{NodeId, Topology};
-
-/// Result of one NoC workload run.
-#[derive(Debug, Clone)]
-pub struct NocRunReport {
-    /// Initiators in the run.
-    pub initiators: usize,
-    /// Completed request/response round trips.
-    pub completed: u64,
-    /// Requests dropped by the APUs.
-    pub rejected: u64,
-    /// Responses that arrived with no request outstanding (protocol
-    /// fault, counted instead of panicking).
-    pub unsolicited: u64,
-    /// Mean round-trip latency in cycles.
-    pub mean_latency: Option<f64>,
-    /// Total link-contention wait cycles across the mesh.
-    pub link_wait_cycles: u64,
-    /// Total hops traversed.
-    pub hops: u64,
-}
 
 struct Initiator {
     node: NodeId,
@@ -105,207 +89,7 @@ fn union_policies(initiators: usize) -> ConfigMemory {
     ConfigMemory::with_policies(policies).unwrap_or_else(|_| ConfigMemory::new())
 }
 
-/// Run a hot-spot workload: `initiators` endpoints on a mesh sized to
-/// fit them, each issuing one word read every `period` cycles to the
-/// memory node, for `cycles` cycles. `protected` inserts an APU at every
-/// initiator (all generated traffic is in-policy, so the APU adds latency
-/// but rejects nothing — the fair overhead comparison).
-pub fn run_noc_workload(
-    initiators: usize,
-    period: u64,
-    cycles: u64,
-    protected: bool,
-) -> NocRunReport {
-    run_noc_workload_with_core(initiators, period, cycles, protected, SimCore::from_env())
-}
-
-/// [`run_noc_workload`] with an explicit simulator core, so equivalence
-/// tests can compare both cores without mutating process environment.
-pub fn run_noc_workload_with_core(
-    initiators: usize,
-    period: u64,
-    cycles: u64,
-    protected: bool,
-    core: SimCore,
-) -> NocRunReport {
-    let (topology, memory) = mesh_shape(initiators);
-    let cols = topology.cols;
-    let mem_latency = 10u64;
-
-    let mut mesh = Mesh::new(topology, NocConfig::default());
-    let mut inits: Vec<Initiator> = (0..initiators)
-        .map(|i| {
-            let node = initiator_node(i, cols);
-            let ni = protected.then(|| {
-                NetworkInterface::new(
-                    node,
-                    ConfigMemory::with_policies(vec![SecurityPolicy::internal(
-                        i as u16 + 1,
-                        initiator_window(i),
-                        Rwa::ReadWrite,
-                        AdfSet::ALL,
-                    )])
-                    // Fail secure: a policy table that cannot be built
-                    // becomes default-deny, not a panic or a bypass.
-                    .unwrap_or_else(|_| ConfigMemory::new()),
-                )
-            });
-            Initiator {
-                node,
-                ni,
-                outstanding: None,
-                next_at: 0,
-                issued: 0,
-                completed: 0,
-                rejected: 0,
-                latencies: Histogram::new(),
-            }
-        })
-        .collect();
-
-    // Memory-side service queue: (ready_at, response packet).
-    let mut mem_queue: Vec<(u64, Packet)> = Vec::new();
-    let mut unsolicited = 0u64;
-
-    let mut c = 0u64;
-    while c < cycles {
-        let now = Cycle(c);
-        // Initiators.
-        for (i, init) in inits.iter_mut().enumerate() {
-            if init.outstanding.is_some() || c < init.next_at {
-                continue;
-            }
-            let addr = MEM_BASE + (i as u32) * 0x100 + ((init.issued as u32 * 4) % 0x100);
-            let mut inject_delay = 0;
-            if let Some(ni) = init.ni.as_mut() {
-                let probe = Transaction {
-                    id: TxnId(init.issued),
-                    master: MasterId(i as u8),
-                    op: Op::Read,
-                    addr,
-                    width: Width::Word,
-                    data: 0,
-                    burst: 1,
-                    issued_at: now,
-                };
-                match ni.check(&probe, now) {
-                    Ok(latency) => inject_delay = latency,
-                    Err((_, latency)) => {
-                        init.rejected += 1;
-                        init.next_at = c + latency.max(1);
-                        continue;
-                    }
-                }
-            }
-            let id = mesh.alloc_id();
-            // The check delay is modelled by holding the injection; the
-            // mesh sees the packet once the APU releases it.
-            let release = Cycle(c + inject_delay);
-            mesh.inject(
-                Packet {
-                    id,
-                    src: init.node,
-                    dst: memory,
-                    op: Op::Read,
-                    addr,
-                    width: Width::Word,
-                    data: 0,
-                    flits: 2,
-                    injected_at: release,
-                },
-                release,
-            );
-            init.outstanding = Some((id.0, now));
-            init.issued += 1;
-        }
-
-        mesh.tick(now);
-
-        // Memory node: service arrivals, emit responses.
-        while let Some(req) = mesh.deliver(memory) {
-            let id = mesh.alloc_id();
-            let resp = Packet {
-                id,
-                src: memory,
-                dst: req.src,
-                op: req.op,
-                addr: req.addr,
-                width: req.width,
-                data: req.id.0 as u32, // echo request id for correlation
-                flits: 2,
-                injected_at: Cycle(c),
-            };
-            mem_queue.push((c + mem_latency, resp));
-        }
-        let mut staying = Vec::new();
-        for (ready, resp) in mem_queue.drain(..) {
-            if ready <= c {
-                mesh.inject(resp, Cycle(c));
-            } else {
-                staying.push((ready, resp));
-            }
-        }
-        mem_queue = staying;
-
-        // Responses back at the initiators.
-        for init in inits.iter_mut() {
-            if let Some(resp) = mesh.deliver(init.node) {
-                // A response with no request outstanding is a protocol
-                // fault: account for it, drop the packet, keep running.
-                let Some((expect, issued)) = init.outstanding.take() else {
-                    unsolicited += 1;
-                    continue;
-                };
-                debug_assert_eq!(u64::from(resp.data), expect);
-                init.latencies.record(now.saturating_since(issued));
-                init.completed += 1;
-                init.next_at = c + period;
-            }
-        }
-
-        c += 1;
-        // Event core: fast-forward over provably idle cycles. A cycle
-        // does work only if the mesh has traffic to move or deliver, a
-        // memory response matures, or an initiator can issue — compute
-        // the earliest such cycle and jump there.
-        if core == SimCore::Event {
-            if c >= cycles || mesh.has_pending_deliveries() || mesh.has_pending_alerts() {
-                continue;
-            }
-            let mut target = cycles;
-            for init in &inits {
-                if init.outstanding.is_none() {
-                    target = target.min(init.next_at.max(c));
-                }
-            }
-            if let Some(ready) = mem_queue.iter().map(|(r, _)| *r).min() {
-                target = target.min(ready);
-            }
-            match mesh.next_event(Cycle(c)) {
-                MeshQuiet::Active => continue,
-                MeshQuiet::Until(at) => target = target.min(at.get()),
-                MeshQuiet::Idle => {}
-            }
-            c = c.max(target.min(cycles));
-        }
-    }
-
-    let mut all = Histogram::new();
-    for init in &inits {
-        all.merge(&init.latencies);
-    }
-    NocRunReport {
-        initiators,
-        completed: inits.iter().map(|i| i.completed).sum(),
-        rejected: inits.iter().map(|i| i.rejected).sum(),
-        unsolicited,
-        mean_latency: all.mean(),
-        link_wait_cycles: mesh.stats().counter("noc.link_wait_cycles"),
-        hops: mesh.stats().counter("noc.hops"),
-    }
-}
-
-/// Configuration for a fault-injected soak run.
+/// Configuration for a run of the hot-spot workload.
 #[derive(Debug, Clone)]
 pub struct NocSoakConfig {
     /// Endpoints issuing traffic.
@@ -407,6 +191,7 @@ pub struct NocSoakReport {
 /// table, and an end-of-run sweep for anything neither delivered nor
 /// alerted. In protected mode the acceptance bar is:
 /// `delivered_corrupt == 0 && security_bypasses == 0 && !wedged`.
+/// [`FaultPlan::empty`] with `drain_cycles: 0` runs the plain workload.
 pub fn run_noc_soak(cfg: &NocSoakConfig, plan: FaultPlan) -> NocSoakReport {
     run_noc_soak_with_core(cfg, plan, SimCore::from_env())
 }
@@ -450,6 +235,8 @@ pub fn run_noc_soak_with_core(
                         Rwa::ReadWrite,
                         AdfSet::ALL,
                     )])
+                    // Fail secure: a policy table that cannot be built
+                    // becomes default-deny, not a panic or a bypass.
                     .unwrap_or_else(|_| ConfigMemory::new()),
                 )
             });
@@ -728,20 +515,33 @@ mod tests {
     use super::*;
     use secbus_fault::{FaultEvent, FaultKind, FaultRates, FaultSpec};
 
+    /// The plain hot-spot workload: no faults and no drain window.
+    fn workload(initiators: usize, period: u64, cycles: u64, protected: bool) -> NocSoakReport {
+        let cfg = NocSoakConfig {
+            initiators,
+            period,
+            cycles,
+            drain_cycles: 0,
+            protected,
+        };
+        run_noc_soak(&cfg, FaultPlan::empty())
+    }
+
     #[test]
     fn workload_completes_roundtrips() {
-        let r = run_noc_workload(4, 16, 5_000, false);
+        let r = workload(4, 16, 5_000, false);
         assert!(r.completed > 100, "completed {}", r.completed);
-        assert_eq!(r.rejected, 0);
-        assert_eq!(r.unsolicited, 0);
+        assert_eq!(r.egress_rejected + r.ingress_rejected, 0);
+        assert_eq!(r.unsolicited_responses, 0);
         assert!(r.mean_latency.unwrap() > 0.0);
     }
 
     #[test]
     fn protection_adds_latency_but_rejects_nothing() {
-        let plain = run_noc_workload(4, 16, 10_000, false);
-        let protected = run_noc_workload(4, 16, 10_000, true);
-        assert_eq!(protected.rejected, 0, "workload is in-policy");
+        let plain = workload(4, 16, 10_000, false);
+        let protected = workload(4, 16, 10_000, true);
+        assert_eq!(protected.egress_rejected, 0, "workload is in-policy");
+        assert_eq!(protected.ingress_rejected, 0, "workload is in-policy");
         assert!(
             protected.mean_latency.unwrap() > plain.mean_latency.unwrap(),
             "APU check must cost cycles: {:?} vs {:?}",
@@ -755,24 +555,27 @@ mod tests {
 
     #[test]
     fn hotspot_contention_grows_with_initiators() {
-        let small = run_noc_workload(2, 4, 10_000, false);
-        let big = run_noc_workload(12, 4, 10_000, false);
-        assert!(
-            big.link_wait_cycles > small.link_wait_cycles,
-            "{} vs {}",
-            big.link_wait_cycles,
-            small.link_wait_cycles
-        );
+        let link_wait = |r: &NocSoakReport| {
+            secbus_sim::Json::parse(&r.metrics_json)
+                .unwrap()
+                .get("noc")
+                .and_then(|noc| noc.get("counters"))
+                .and_then(|counters| counters.get("noc.link_wait_cycles"))
+                .and_then(secbus_sim::Json::as_u64)
+                .unwrap_or(0)
+        };
+        let small = workload(2, 4, 10_000, false);
+        let big = workload(12, 4, 10_000, false);
+        let (small_wait, big_wait) = (link_wait(&small), link_wait(&big));
+        assert!(big_wait > small_wait, "{big_wait} vs {small_wait}");
         assert!(big.mean_latency.unwrap() > small.mean_latency.unwrap());
     }
 
     #[test]
     fn deterministic() {
-        let a = run_noc_workload(6, 8, 5_000, true);
-        let b = run_noc_workload(6, 8, 5_000, true);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.mean_latency, b.mean_latency);
-        assert_eq!(a.hops, b.hops);
+        let a = workload(6, 8, 5_000, true);
+        let b = workload(6, 8, 5_000, true);
+        assert_eq!(a, b);
     }
 
     fn soak_spec(rate: f64) -> FaultSpec {
@@ -919,14 +722,19 @@ mod tests {
 
     #[test]
     fn workload_event_core_matches_stepped_core() {
-        let stepped = run_noc_workload_with_core(4, 64, 8_000, true, SimCore::Stepped);
-        let event = run_noc_workload_with_core(4, 64, 8_000, true, SimCore::Event);
-        assert_eq!(stepped.completed, event.completed);
-        assert_eq!(stepped.rejected, event.rejected);
-        assert_eq!(stepped.unsolicited, event.unsolicited);
-        assert_eq!(stepped.mean_latency, event.mean_latency);
-        assert_eq!(stepped.link_wait_cycles, event.link_wait_cycles);
-        assert_eq!(stepped.hops, event.hops);
+        // The plain protected workload: no faults, and the window ends
+        // the run with no drain phase.
+        let cfg = NocSoakConfig {
+            initiators: 4,
+            period: 64,
+            cycles: 8_000,
+            drain_cycles: 0,
+            protected: true,
+        };
+        let stepped = run_noc_soak_with_core(&cfg, FaultPlan::empty(), SimCore::Stepped);
+        let event = run_noc_soak_with_core(&cfg, FaultPlan::empty(), SimCore::Event);
+        assert_eq!(stepped, event);
+        assert!(event.completed > 0);
     }
 
     #[test]

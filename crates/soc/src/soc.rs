@@ -1994,34 +1994,37 @@ impl Soc {
             match targets.iter().find(|(_, fw)| *fw == update.firewall) {
                 Some(&(master, _)) => views.push((master, update.policies.as_slice())),
                 None => {
-                    self.stats.incr("reconfig.verifier_refusals");
-                    if let Some(t) = &self.tracer {
-                        t.record(
-                            self.now,
-                            TraceEvent::EpochAbort {
-                                epoch: self.reconfig.epoch() + 1,
-                                reason: "verifier",
-                            },
-                        );
-                    }
-                    return Err(EpochError::UnknownFirewall(update.firewall));
+                    let err = EpochError::UnknownFirewall(update.firewall);
+                    return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
                 }
             }
         }
         if let Err(e) = verify(program, &views) {
-            self.stats.incr("reconfig.verifier_refusals");
-            if let Some(t) = &self.tracer {
-                t.record(
-                    self.now,
-                    TraceEvent::EpochAbort {
-                        epoch: self.reconfig.epoch() + 1,
-                        reason: "verifier",
-                    },
-                );
-            }
-            return Err(EpochError::Verifier(e));
+            let err = EpochError::Verifier(e);
+            return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
         }
         self.commit_policy_epoch(updates)
+    }
+
+    /// Refuse the next epoch before anything is staged: count the
+    /// refusal under `counter` and record its `EpochAbort` with `reason`.
+    fn refuse_epoch(
+        &mut self,
+        counter: &'static str,
+        reason: &'static str,
+        err: EpochError,
+    ) -> Result<u64, EpochError> {
+        self.stats.incr(counter);
+        if let Some(t) = &self.tracer {
+            t.record(
+                self.now,
+                TraceEvent::EpochAbort {
+                    epoch: self.reconfig.epoch() + 1,
+                    reason,
+                },
+            );
+        }
+        Err(err)
     }
 
     /// Compile `program` and commit the result as one verifier-gated
@@ -2032,19 +2035,23 @@ impl Soc {
         program: &PolicyProgram,
         targets: &[(u8, FirewallId)],
     ) -> Result<u64, EpochError> {
-        let compiled = program.compile().map_err(|_| {
+        let compiled = match program.compile() {
+            Ok(compiled) => compiled,
             // A program that parses always compiles today; keep the seam
             // total anyway.
-            EpochError::Verifier(secbus_core::PolicyVerifyError::MissingTable {
-                master: String::new(),
-                index: 0,
-            })
-        })?;
+            Err(_) => {
+                let err = EpochError::Verifier(secbus_core::PolicyVerifyError::MissingTable {
+                    master: String::new(),
+                    index: 0,
+                });
+                return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
+            }
+        };
         let mut updates = Vec::with_capacity(compiled.tables.len());
         for table in &compiled.tables {
             let Some(&(_, fw)) = targets.iter().find(|(m, _)| *m == table.master) else {
-                self.stats.incr("reconfig.verifier_refusals");
-                return Err(EpochError::UnknownFirewall(FirewallId(table.master)));
+                let err = EpochError::UnknownFirewall(FirewallId(table.master));
+                return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
             };
             updates.push(PolicyUpdate {
                 firewall: fw,
@@ -2074,7 +2081,6 @@ impl Soc {
         if tainted {
             let now = self.now;
             self.stats.incr("soc.taint.config_sink_refusals");
-            self.stats.incr("reconfig.tainted_refusals");
             let slot = &mut self.masters[initiator];
             let master = slot.bus_id;
             let fw_id = slot
@@ -2105,15 +2111,9 @@ impl Soc {
                         blocked: true,
                     },
                 );
-                t.record(
-                    now,
-                    TraceEvent::EpochAbort {
-                        epoch: self.reconfig.epoch() + 1,
-                        reason: "tainted_initiator",
-                    },
-                );
             }
-            return Err(EpochError::TaintedInitiator(fw_id));
+            let err = EpochError::TaintedInitiator(fw_id);
+            return self.refuse_epoch("reconfig.tainted_refusals", "tainted_initiator", err);
         }
         self.commit_policy_epoch(updates)
     }
@@ -3308,6 +3308,61 @@ mod tests {
         assert!(soc.master_firewall(0).unwrap().is_blocked());
         assert!(soc.master_firewall(1).unwrap().is_blocked());
         assert!(soc.lcf().unwrap().firewall().is_blocked());
+    }
+
+    /// Every refused epoch leaves one `EpochAbort` on the trace spine for
+    /// the epoch that failed to open, whichever entry point refused it.
+    #[test]
+    fn every_refused_epoch_records_its_abort() {
+        let mut soc = fleet_soc(SocBuilder::new().trace(256));
+        let program = PolicyProgram::parse(&format!(
+            "master m0 = 0\n\
+             master m1 = 1\n\
+             region bram = {BRAM_BASE:#x} + 0x100\n\
+             allow m0 bram rw\n\
+             allow m1 bram ro\n"
+        ))
+        .unwrap();
+        let compiled = program.compile().unwrap();
+        let update = |master: u8, fw: u8| PolicyUpdate {
+            firewall: FirewallId(fw),
+            policies: compiled.table(master).unwrap().policies.clone(),
+        };
+        let only_m0 = [(0, FirewallId(0))];
+        let both = [(0, FirewallId(0)), (1, FirewallId(1))];
+
+        // m1 has no target: refused while compiling the program...
+        assert_eq!(
+            soc.commit_policy_epoch_from(&program, &only_m0),
+            Err(EpochError::UnknownFirewall(FirewallId(1)))
+        );
+        // ...and at admission, for an update bound for an unmapped firewall.
+        assert_eq!(
+            soc.commit_policy_epoch_checked(&program, &only_m0, vec![update(0, 0), update(1, 1)]),
+            Err(EpochError::UnknownFirewall(FirewallId(1)))
+        );
+        // Swapped tables fail the verifier.
+        let swapped = vec![update(1, 0), update(0, 1)];
+        assert!(matches!(
+            soc.commit_policy_epoch_checked(&program, &both, swapped),
+            Err(EpochError::Verifier(_))
+        ));
+
+        let epoch_events: Vec<TraceEvent> = soc
+            .tracer()
+            .unwrap()
+            .snapshot()
+            .into_iter()
+            .map(|(_, e)| e)
+            .filter(|e| e.kind().starts_with("epoch_"))
+            .collect();
+        let abort = TraceEvent::EpochAbort {
+            epoch: 1,
+            reason: "verifier",
+        };
+        assert_eq!(epoch_events, vec![abort; 3]);
+        assert_eq!(soc.stats().counter("reconfig.verifier_refusals"), 3);
+        assert_eq!(soc.policy_epoch(), 0);
     }
 
     /// A halted core, so the fleet sees no traffic of its own.

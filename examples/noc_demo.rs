@@ -8,15 +8,26 @@
 
 use secbus_bus::{AddrRange, MasterId, Op, Transaction, TxnId, Width};
 use secbus_core::{AdfSet, ConfigMemory, Rwa, SecurityPolicy};
-use secbus_noc::{run_noc_workload, Mesh, NetworkInterface, NocConfig, NodeId, Packet, Topology};
+use secbus_fault::FaultPlan;
+use secbus_noc::{
+    run_noc_soak, Mesh, NetworkInterface, NocConfig, NocSoakConfig, NodeId, Packet, Topology,
+};
 use secbus_sim::Cycle;
 
 fn main() {
     // 1. The workload comparison: a hot-spot read pattern, with and
     //    without NI protection.
     println!("hot-spot workload on the mesh (6 initiators, 10k cycles):\n");
-    let plain = run_noc_workload(6, 8, 10_000, false);
-    let protected = run_noc_workload(6, 8, 10_000, true);
+    let [plain, protected] = [false, true].map(|protected| {
+        let cfg = NocSoakConfig {
+            initiators: 6,
+            period: 8,
+            cycles: 10_000,
+            drain_cycles: 0,
+            protected,
+        };
+        run_noc_soak(&cfg, FaultPlan::empty())
+    });
     println!(
         "  unprotected : {:>5} round trips, mean latency {:>6.1} cycles",
         plain.completed,
