@@ -701,7 +701,7 @@ fn run_coordinated_tamper(seed: u64, protected: bool) -> CampaignOutcome {
     let softened_injected = soc.fault_plan().injected();
     soc.attach_fault_plan(staged.stages()[1].plan.clone().offset(3_000));
     let block_off = (read_addr - DDR_BASE) & !15;
-    let mut adversary = Adversary::new(SimRng::new(seed).derive("tamper"));
+    let adversary = Adversary::new(SimRng::new(seed).derive("tamper"));
     let strike = marker(kind).to_le_bytes();
     {
         let ddr = soc.ddr_mut().unwrap();

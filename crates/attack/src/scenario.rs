@@ -467,7 +467,7 @@ fn run_code_injection(seed: u64) -> AttackOutcome {
     }
     .encode();
     let injected_at = soc.now();
-    let mut adversary = Adversary::new(SimRng::new(seed));
+    let adversary = Adversary::new(SimRng::new(seed));
     {
         let ddr = soc.ddr_mut().unwrap();
         // The sw is the 5th word (after li=2 words + addi + label).

@@ -10,42 +10,16 @@
 use secbus_mem::ExternalDdr;
 use secbus_sim::SimRng;
 
-/// Kinds of physical tampering, for logs and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TamperKind {
-    /// Old (genuine) bytes restored over newer ones.
-    Replay,
-    /// Genuine bytes copied to a different address.
-    Relocation,
-    /// Attacker-chosen / random bytes injected.
-    Spoofing,
-}
-
-/// One tampering action, as recorded by the adversary.
-#[derive(Debug, Clone)]
-pub struct TamperRecord {
-    /// What was done.
-    pub kind: TamperKind,
-    /// DDR device offset attacked.
-    pub offset: u32,
-    /// Bytes affected.
-    pub len: u32,
-}
-
 /// The external-memory attacker.
 #[derive(Debug)]
 pub struct Adversary {
     rng: SimRng,
-    log: Vec<TamperRecord>,
 }
 
 impl Adversary {
     /// A deterministic adversary.
     pub fn new(rng: SimRng) -> Self {
-        Adversary {
-            rng,
-            log: Vec::new(),
-        }
+        Adversary { rng }
     }
 
     /// Record the current bytes at `[offset, offset+len)` — the bus probe
@@ -55,34 +29,19 @@ impl Adversary {
     }
 
     /// Restore previously captured bytes (replay attack).
-    pub fn replay(&mut self, ddr: &mut ExternalDdr, offset: u32, snapshot: &[u8]) {
+    pub fn replay(&self, ddr: &mut ExternalDdr, offset: u32, snapshot: &[u8]) {
         ddr.tamper(offset, snapshot);
-        self.log.push(TamperRecord {
-            kind: TamperKind::Replay,
-            offset,
-            len: snapshot.len() as u32,
-        });
     }
 
     /// Copy `len` stored bytes from `src` to `dst` (relocation attack).
-    pub fn relocate(&mut self, ddr: &mut ExternalDdr, src: u32, dst: u32, len: u32) {
+    pub fn relocate(&self, ddr: &mut ExternalDdr, src: u32, dst: u32, len: u32) {
         let bytes = ddr.snoop(src, len).to_vec();
         ddr.tamper(dst, &bytes);
-        self.log.push(TamperRecord {
-            kind: TamperKind::Relocation,
-            offset: dst,
-            len,
-        });
     }
 
     /// Overwrite with attacker-chosen bytes (spoofing).
-    pub fn spoof_with(&mut self, ddr: &mut ExternalDdr, offset: u32, bytes: &[u8]) {
+    pub fn spoof_with(&self, ddr: &mut ExternalDdr, offset: u32, bytes: &[u8]) {
         ddr.tamper(offset, bytes);
-        self.log.push(TamperRecord {
-            kind: TamperKind::Spoofing,
-            offset,
-            len: bytes.len() as u32,
-        });
     }
 
     /// Overwrite with random bytes (blind spoofing / DoS on data).
@@ -90,16 +49,6 @@ impl Adversary {
         let mut bytes = vec![0u8; len as usize];
         self.rng.fill_bytes(&mut bytes);
         ddr.tamper(offset, &bytes);
-        self.log.push(TamperRecord {
-            kind: TamperKind::Spoofing,
-            offset,
-            len,
-        });
-    }
-
-    /// Everything done so far.
-    pub fn log(&self) -> &[TamperRecord] {
-        &self.log
     }
 }
 
@@ -118,22 +67,19 @@ mod tests {
     #[test]
     fn replay_restores_old_bytes() {
         let mut d = ddr();
-        let mut adv = Adversary::new(SimRng::new(1));
+        let adv = Adversary::new(SimRng::new(1));
         let old = adv.snapshot(&d, 16, 16);
         d.tamper(16, &[0xff; 16]); // the system moved on
         adv.replay(&mut d, 16, &old);
         assert_eq!(d.snoop(16, 16), &old[..]);
-        assert_eq!(adv.log().len(), 1);
-        assert_eq!(adv.log()[0].kind, TamperKind::Replay);
     }
 
     #[test]
     fn relocation_copies_within_memory() {
         let mut d = ddr();
-        let mut adv = Adversary::new(SimRng::new(2));
+        let adv = Adversary::new(SimRng::new(2));
         adv.relocate(&mut d, 0, 64, 16);
         assert_eq!(d.snoop(64, 16), d.snoop(0, 16));
-        assert_eq!(adv.log()[0].kind, TamperKind::Relocation);
     }
 
     #[test]
@@ -145,7 +91,6 @@ mod tests {
         assert_ne!(d.snoop(32, 16), &before[..]);
         adv.spoof_with(&mut d, 32, &[0xAB; 4]);
         assert_eq!(d.snoop(32, 4), &[0xAB; 4]);
-        assert_eq!(adv.log().len(), 2);
     }
 
     #[test]

@@ -53,8 +53,8 @@ fn main() {
     // past scheduler noise.
     let sim = compare_sim(400_000, 200_000);
     // S-22: host-side crypto throughput across backends (soft reference
-    // vs AES-NI/SHA-NI, serial vs parallel Merkle). Ratios transfer
-    // across hosts; absolute GB/s are trajectory data.
+    // vs AES-NI/SHA-NI, plus one Merkle build). Ratios transfer across
+    // hosts; absolute GB/s and build times are trajectory data.
     let host = measure_host(&if smoke {
         HostWorkload::smoke()
     } else {
@@ -240,23 +240,7 @@ fn main() {
                     "merkle".into(),
                     Json::Obj(vec![
                         ("leaves".into(), Json::uint(host.merkle_leaves as u64)),
-                        ("threads".into(), Json::uint(host.merkle_threads as u64)),
-                        (
-                            "build_serial_ns".into(),
-                            Json::uint(host.merkle_build_serial_ns),
-                        ),
-                        (
-                            "build_parallel_ns".into(),
-                            Json::uint(host.merkle_build_parallel_ns),
-                        ),
-                        (
-                            "build_speedup".into(),
-                            Json::Num(host.merkle_build_speedup()),
-                        ),
-                        (
-                            "verifies_per_sec".into(),
-                            Json::Num(host.merkle_verifies_per_sec),
-                        ),
+                        ("build_ns".into(), Json::uint(host.merkle_build_ns)),
                     ]),
                 ),
                 ("outputs_match".into(), Json::Bool(host.outputs_match)),

@@ -9,25 +9,25 @@
 //!   batched keystream on the soft backend vs the batched keystream on
 //!   the accel (AES-NI multi-lane) backend, in GB/s;
 //! * **SHA-256** — bulk hashing on the soft vs accel (SHA-NI) backend;
-//! * **Merkle** — serial vs parallel tree build, and bulk leaf
-//!   verification throughput (verifies/s).
+//! * **Merkle** — one tree build, the serial builder on the active
+//!   backend, in nanoseconds.
 //!
 //! Every optimized path is also checked byte-identical against its
 //! reference inside the measurement ([`HostPerf::outputs_match`]), so a
 //! fast-but-wrong backend can never post a number.
 //!
-//! Timing discipline follows [`crate::perf::compare_cc`]: process CPU
-//! time where available (immune to preemption), wall clock as the
-//! fallback, all paths timed back-to-back in paired rounds with the
-//! median round (by the headline accel-vs-per-block ratio) reported, so
-//! slow frequency drift cancels out of every ratio. Each path gets its
-//! own rep count so that even the multi-GB/s windows stay long enough
-//! for the 100 Hz CPU clock.
-
-use std::time::Instant;
+//! Timing discipline follows [`crate::perf::compare_cc`] and shares its
+//! clock: process CPU time where available (immune to preemption), wall
+//! clock as the fallback, all paths timed back-to-back in paired rounds
+//! with the median round (by the headline accel-vs-per-block ratio)
+//! reported, so slow frequency drift cancels out of every ratio. Each
+//! path gets its own rep count so that even the multi-GB/s windows stay
+//! long enough for the 100 Hz CPU clock.
 
 use secbus_crypto::merkle::leaf_digest;
 use secbus_crypto::{host_caps, sha256_with, CryptoBackend, MemoryCipher, MerkleTree};
+
+use crate::perf::timed;
 
 /// Shape of the host-throughput workload.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +44,7 @@ pub struct HostWorkload {
     pub sha_soft_bytes: usize,
     /// Total bytes through accel SHA-256.
     pub sha_accel_bytes: usize,
-    /// Leaves in the Merkle build/verify comparison.
+    /// Leaves in the timed Merkle build.
     pub merkle_leaves: usize,
     /// Consecutive builds per timed window — a single build is shorter
     /// than the 100 Hz CPU-clock tick, so windows are stretched and the
@@ -124,18 +124,12 @@ pub struct HostPerf {
     pub sha_soft: Throughput,
     /// Bulk SHA-256 on the accel backend.
     pub sha_accel: Throughput,
-    /// Leaves in the Merkle comparison.
+    /// Leaves in the timed Merkle build.
     pub merkle_leaves: usize,
-    /// Worker threads the parallel build used.
-    pub merkle_threads: usize,
-    /// Single-threaded tree build, nanoseconds.
-    pub merkle_build_serial_ns: u64,
-    /// Parallel tree build, nanoseconds.
-    pub merkle_build_parallel_ns: u64,
-    /// Bulk leaf verifications per second ([`MerkleTree::verify_all`]).
-    pub merkle_verifies_per_sec: f64,
+    /// One tree build ([`MerkleTree::build`]), nanoseconds.
+    pub merkle_build_ns: u64,
     /// Every optimized path matched its reference byte-for-byte:
-    /// soft/accel ciphertext, soft/accel digests, serial/parallel roots.
+    /// soft/accel ciphertext and soft/accel digests.
     pub outputs_match: bool,
 }
 
@@ -155,30 +149,6 @@ impl HostPerf {
     /// Accel SHA-256 over soft SHA-256.
     pub fn sha_speedup(&self) -> f64 {
         self.sha_accel.gbps() / self.sha_soft.gbps().max(f64::MIN_POSITIVE)
-    }
-
-    /// Serial Merkle build over parallel build.
-    pub fn merkle_build_speedup(&self) -> f64 {
-        self.merkle_build_serial_ns as f64 / self.merkle_build_parallel_ns.max(1) as f64
-    }
-}
-
-/// Process CPU time preferred, wall clock fallback (same contract as
-/// `perf::compare_cc`).
-fn timed(work: &mut dyn FnMut()) -> u64 {
-    let cpu_ns = || -> Option<u64> {
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-        let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
-        let utime: u64 = fields.nth(11)?.parse().ok()?;
-        let stime: u64 = fields.next()?.parse().ok()?;
-        Some((utime + stime) * 10_000_000)
-    };
-    let wall = Instant::now();
-    let cpu = cpu_ns();
-    work();
-    match (cpu, cpu_ns()) {
-        (Some(before), Some(after)) if after > before => after - before,
-        _ => wall.elapsed().as_nanos() as u64,
     }
 }
 
@@ -211,7 +181,6 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
     let leaves: Vec<_> = (0..w.merkle_leaves)
         .map(|i| leaf_digest(i as u64, 0, &(i as u64).to_le_bytes()))
         .collect();
-    let threads = crate::sweep_threads();
 
     let reps = |total: usize| (total / w.burst_bytes).max(1) as u32;
     let mut buf = vec![0xa5u8; w.burst_bytes];
@@ -224,9 +193,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
         accel_ns: u64,
         sha_soft_ns: u64,
         sha_accel_ns: u64,
-        build_serial_ns: u64,
-        build_parallel_ns: u64,
-        verify_ns: u64,
+        build_ns: u64,
     }
     let mut rounds: Vec<Round> = (0..w.rounds.max(1))
         .map(|_| {
@@ -258,34 +225,18 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
                 }
             });
             let build_reps = w.merkle_build_reps.max(1) as u64;
-            let mut serial_root = None;
-            let build_serial_ns = timed(&mut || {
+            let build_ns = timed(&mut || {
                 for _ in 0..build_reps {
-                    serial_root = Some(MerkleTree::build_with_threads(&leaves, 1).root());
+                    std::hint::black_box(MerkleTree::build(std::hint::black_box(&leaves)));
                 }
             }) / build_reps;
-            let mut parallel_tree = None;
-            let build_parallel_ns = timed(&mut || {
-                for _ in 0..build_reps {
-                    parallel_tree = Some(MerkleTree::build_with_threads(&leaves, threads));
-                }
-            }) / build_reps;
-            let tree = parallel_tree.expect("parallel build ran");
-            outputs_match &= serial_root == Some(tree.root());
-            let mut verdicts = Vec::new();
-            let verify_ns = timed(&mut || {
-                verdicts = tree.verify_all(&leaves);
-            });
-            outputs_match &= verdicts.iter().all(|&v| v);
             Round {
                 per_block_ns,
                 soft_ns,
                 accel_ns,
                 sha_soft_ns,
                 sha_accel_ns,
-                build_serial_ns,
-                build_parallel_ns,
-                verify_ns,
+                build_ns,
             }
         })
         .collect();
@@ -324,10 +275,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
             ns: r.sha_accel_ns,
         },
         merkle_leaves: w.merkle_leaves,
-        merkle_threads: threads,
-        merkle_build_serial_ns: r.build_serial_ns,
-        merkle_build_parallel_ns: r.build_parallel_ns,
-        merkle_verifies_per_sec: w.merkle_leaves as f64 / (r.verify_ns.max(1) as f64 / 1e9),
+        merkle_build_ns: r.build_ns,
         outputs_match,
     }
 }
@@ -356,8 +304,7 @@ mod tests {
         assert!(p.ctr_per_block_soft.ns > 0 && p.ctr_batched_accel.ns > 0);
         assert!(p.ctr_accel_vs_per_block().is_finite());
         assert!(p.sha_speedup().is_finite());
-        assert!(p.merkle_build_speedup().is_finite());
-        assert!(p.merkle_verifies_per_sec > 0.0);
+        assert!(p.merkle_build_ns > 0);
         // Capability flags agree with the crypto crate's probe.
         let caps = host_caps();
         assert_eq!(p.aesni, caps.aesni);

@@ -242,17 +242,28 @@ impl CcPerf {
     }
 }
 
-/// Process CPU time (user + system) in nanoseconds, from
-/// `/proc/self/stat`; `None` off Linux. Assumes the near-universal
-/// 100 Hz kernel tick — and since the measurement is only ever used as
-/// a ratio of two same-unit readings, the tick rate cancels anyway.
-fn process_cpu_ns() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // comm (field 2) may contain spaces; fields are stable after the ')'.
-    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) * 10_000_000)
+/// Host nanoseconds `work` took: process CPU time (user + system, from
+/// `/proc/self/stat`) where it is readable and advanced, wall clock
+/// otherwise (off Linux, or a window shorter than one CPU-clock tick).
+/// CPU time assumes the near-universal 100 Hz kernel tick — and since
+/// every caller only reads it as a ratio of two same-unit readings, the
+/// tick rate cancels anyway.
+pub(crate) fn timed(work: &mut dyn FnMut()) -> u64 {
+    let cpu_ns = || -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+        // comm (field 2) may contain spaces; fields are stable after the ')'.
+        let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+        let utime: u64 = fields.nth(11)?.parse().ok()?;
+        let stime: u64 = fields.next()?.parse().ok()?;
+        Some((utime + stime) * 10_000_000)
+    };
+    let wall = Instant::now();
+    let cpu = cpu_ns();
+    work();
+    match (cpu, cpu_ns()) {
+        (Some(before), Some(after)) if after > before => after - before,
+        _ => wall.elapsed().as_nanos() as u64,
+    }
 }
 
 /// Cipher `burst_bytes`-byte bursts `reps` times through both paths.
@@ -284,15 +295,6 @@ pub fn compare_cc(burst_bytes: usize, reps: u32) -> CcPerf {
     // (slow frequency drift then cancels in the ratio), and report the
     // median round by ratio.
     let mut buf = vec![0xa5u8; burst_bytes];
-    let timed = |work: &mut dyn FnMut()| {
-        let wall = Instant::now();
-        let cpu = process_cpu_ns();
-        work();
-        match (cpu, process_cpu_ns()) {
-            (Some(before), Some(after)) if after > before => after - before,
-            _ => wall.elapsed().as_nanos() as u64,
-        }
-    };
     let mut rounds: Vec<(u64, u64)> = (0..5)
         .map(|_| {
             let batched_ns = timed(&mut || {

@@ -163,7 +163,6 @@ pub struct LocalFirewall {
     id: FirewallId,
     label: String,
     config: ConfigMemory,
-    timing: SbTiming,
     blocked: bool,
     rate_limit: Option<RateLimit>,
     window_start: u64,
@@ -183,7 +182,6 @@ impl LocalFirewall {
             id,
             label: label.into(),
             config,
-            timing: SbTiming::PAPER,
             blocked: false,
             rate_limit: None,
             window_start: 0,
@@ -208,12 +206,6 @@ impl LocalFirewall {
         self
     }
 
-    /// Override the Security Builder timing (ablation benches).
-    pub fn with_timing(mut self, timing: SbTiming) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// This firewall's identifier.
     pub fn id(&self) -> FirewallId {
         self.id
@@ -222,11 +214,6 @@ impl LocalFirewall {
     /// Display label ("LF cpu0" etc.).
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The active Security Builder timing.
-    pub fn timing(&self) -> SbTiming {
-        self.timing
     }
 
     /// Run the Security Builder over one transaction.
@@ -261,7 +248,7 @@ impl LocalFirewall {
                 return self.deny(txn, Violation::RateLimited, 1, now);
             }
         }
-        let latency = self.timing.total();
+        let latency = SbTiming::PAPER.total();
         let outcome = match self.config.lookup_hinted(txn.addr, &mut self.last_policy) {
             None => CheckOutcome::Fail(Violation::NoPolicy),
             Some(policy) => check_all(policy, txn),

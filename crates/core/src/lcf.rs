@@ -40,7 +40,7 @@ use secbus_sim::{stat_keys, Cycle, Stats, TraceEvent, Tracer};
 use crate::alert::Alert;
 use crate::checker::Violation;
 use crate::config::ConfigMemory;
-use crate::firewall::{FirewallId, LocalFirewall, SbTiming};
+use crate::firewall::{FirewallId, LocalFirewall};
 use crate::policy::{ConfidentialityMode, IntegrityMode, SecurityPolicy};
 use crate::recovery::{PersistentState, RecoveryOutcome, RecoveryReport, TamperEvidence};
 
@@ -130,21 +130,6 @@ impl Default for CryptoTiming {
     }
 }
 
-/// Fail-secure degradation policy when the Integrity Core itself fails
-/// (transient mis-computation, glitched verdict) — per region, because the
-/// right trade-off is data-dependent: key material must never leave the
-/// chip on a doubtful verdict, while a frame buffer may prefer liveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IcFailureMode {
-    /// Refuse the access (the default): a failed or doubtful verification
-    /// blocks the data exactly like a genuine integrity violation.
-    #[default]
-    BlockReads,
-    /// Serve the data anyway but raise the [`Violation::IntegrityMismatch`]
-    /// alert — degraded operation for availability-critical regions.
-    ServeWithAlert,
-}
-
 struct Region {
     base: u32,
     len: u32,
@@ -152,7 +137,6 @@ struct Region {
     cipher: Option<MemoryCipher>,
     tree: Option<MerkleTree>,
     timestamps: TimestampTable,
-    ic_failure: IcFailureMode,
     /// AEGIS-style trusted interior-node cache (cost model only — the
     /// verdict is identical to an uncached root walk).
     ic_cache: Option<NodeCache>,
@@ -189,15 +173,11 @@ fn region_blocks(protection: Protection, len: u32) -> usize {
 /// offset `dev_off`: leaf `i` hashes block `i` as stored in `ddr`, bound
 /// to its index and its time-stamp `tags[i]`.
 fn region_tree(ddr: &ExternalDdr, dev_off: u32, tags: &[u64]) -> MerkleTree {
-    let len = tags.len() as u32 * PROTECTION_BLOCK;
-    let leaves: Vec<Digest> = ddr
-        .snoop(dev_off, len)
-        .chunks_exact(PROTECTION_BLOCK as usize)
-        .zip(tags)
-        .enumerate()
-        .map(|(i, (block, &ts))| leaf_digest(i as u64, ts, block))
-        .collect();
-    MerkleTree::build(&leaves)
+    const BLOCK: usize = PROTECTION_BLOCK as usize;
+    let blocks = ddr.snoop(dev_off, tags.len() as u32 * PROTECTION_BLOCK);
+    MerkleTree::from_fn(tags.len(), |i| {
+        leaf_digest(i as u64, tags[i], &blocks[i * BLOCK..(i + 1) * BLOCK])
+    })
 }
 
 /// Why a re-key request was refused.
@@ -346,7 +326,6 @@ impl LocalCipheringFirewall {
                     cipher: p.key.as_ref().map(MemoryCipher::new),
                     tree: None, // built at seal time
                     timestamps: TimestampTable::new(region_blocks(protection, p.region.len)),
-                    ic_failure: IcFailureMode::default(),
                     ic_cache: None,
                 }
             })
@@ -512,28 +491,6 @@ impl LocalCipheringFirewall {
         self.cc_glitch = true;
     }
 
-    /// Set the IC-failure degradation mode of the region containing
-    /// `addr`. Returns `false` if no region covers it.
-    pub fn set_ic_failure_mode(&mut self, addr: u32, mode: IcFailureMode) -> bool {
-        match self.region_of(addr) {
-            Some(i) => {
-                self.regions[i].ic_failure = mode;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Override the embedded Security Builder timing.
-    pub fn with_sb_timing(mut self, timing: SbTiming) -> Self {
-        self.fw = std::mem::replace(
-            &mut self.fw,
-            LocalFirewall::new(FirewallId(0), "", ConfigMemory::new()),
-        )
-        .with_timing(timing);
-        self
-    }
-
     /// Seal the external memory: encrypt every protected region's current
     /// (boot-image) contents in place and build the integrity trees.
     /// Returns the cycles the operation would take (boot-time cost).
@@ -661,7 +618,7 @@ impl LocalCipheringFirewall {
                 }
                 None => (tree.verify_leaf(block_idx, &expected), full_levels),
             };
-            let (cached, ic_failure) = (region.ic_cache.is_some(), region.ic_failure);
+            let cached = region.ic_cache.is_some();
             latency += self.charge_ic(txn, now, levels, full_levels, cached);
             let mut verified = raw_verdict;
             if self.ic_glitch {
@@ -673,21 +630,11 @@ impl LocalCipheringFirewall {
             }
             if !verified {
                 self.stats.incr("lcf.integrity_failures");
-                match ic_failure {
-                    IcFailureMode::BlockReads => {
-                        let d = self
-                            .fw
-                            .note_violation(txn, Violation::IntegrityMismatch, now);
-                        debug_assert!(!d.allowed);
-                        return Err((Violation::IntegrityMismatch, latency));
-                    }
-                    IcFailureMode::ServeWithAlert => {
-                        // Degraded operation: keep the region live, but the
-                        // monitor hears about every doubtful serve.
-                        self.stats.incr("lcf.degraded_serves");
-                        self.fw.raise_alert(txn, Violation::IntegrityMismatch, now);
-                    }
-                }
+                let d = self
+                    .fw
+                    .note_violation(txn, Violation::IntegrityMismatch, now);
+                debug_assert!(!d.allowed);
+                return Err((Violation::IntegrityMismatch, latency));
             }
         }
 
@@ -867,21 +814,14 @@ impl LocalCipheringFirewall {
         &mut self,
         ddr: &mut ExternalDdr,
         txn: &Transaction,
-        mut latency: u64,
+        sb_latency: u64,
     ) -> Result<LcfAccess, (Violation, u64)> {
-        use secbus_mem::MemDevice;
-        let dev_off = txn.addr - self.ddr_base;
-        latency += ddr.latency(dev_off, txn.op == Op::Write);
+        let (ddr_latency, read) = ddr.access(txn.addr - self.ddr_base, txn);
+        let latency = sb_latency + ddr_latency;
         self.stats.incr_slot(LcfCounter::UnprotectedAccesses);
-        match txn.op {
-            Op::Read => match ddr.read(dev_off, txn.width) {
-                Ok(data) => Ok(LcfAccess { data, latency }),
-                Err(_) => Err((Violation::RegionOverrun, latency)),
-            },
-            Op::Write => match ddr.write(dev_off, txn.width, txn.data) {
-                Ok(()) => Ok(LcfAccess { data: 0, latency }),
-                Err(_) => Err((Violation::RegionOverrun, latency)),
-            },
+        match read {
+            Ok(data) => Ok(LcfAccess { data, latency }),
+            Err(_) => Err((Violation::RegionOverrun, latency)),
         }
     }
 
@@ -1844,29 +1784,6 @@ mod tests {
             lcf.handle(&mut ddr, &t, Cycle(1)).unwrap_err().0,
             Violation::IntegrityMismatch
         );
-    }
-
-    #[test]
-    fn serve_with_alert_keeps_the_region_live() {
-        let (mut lcf, mut ddr) = make_lcf();
-        assert!(lcf.set_ic_failure_mode(DDR_BASE, IcFailureMode::ServeWithAlert));
-        assert!(!lcf.set_ic_failure_mode(DDR_BASE + 0x900, IcFailureMode::ServeWithAlert));
-        lcf.inject_ic_glitch();
-        let r = lcf
-            .handle(
-                &mut ddr,
-                &txn(Op::Read, DDR_BASE + 4, Width::Byte, 0),
-                Cycle(0),
-            )
-            .expect("degraded mode serves the data");
-        assert_eq!(
-            r.data, 4,
-            "clean block decrypts correctly despite the doubtful verdict"
-        );
-        assert_eq!(lcf.stats().counter("lcf.degraded_serves"), 1);
-        let alerts = lcf.drain_alerts();
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].violation, Violation::IntegrityMismatch);
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub use checker::{CheckOutcome, Violation};
 pub use config::ConfigMemory;
 pub use firewall::{Decision, FirewallId, FwCounter, LocalFirewall, RateLimit, SbTiming};
 pub use lcf::{
-    brownout_posture, CryptoTiming, IcFailureMode, LcfCounter, LcfHistogram,
-    LocalCipheringFirewall, Protection, RekeyError,
+    brownout_posture, CryptoTiming, LcfCounter, LcfHistogram, LocalCipheringFirewall, Protection,
+    RekeyError,
 };
 pub use policy::{
     AdfSet, ConfidentialityMode, IntegrityMode, PolicyError, Rwa, SecurityPolicy, Spi,

@@ -21,13 +21,15 @@
 //!
 //! ## Backends
 //!
-//! The hot paths (batched AES, SHA-256 compression, Merkle build/verify)
-//! dispatch through [`backend`]: a runtime probe selects AES-NI/SHA-NI
-//! intrinsics when the host has them, with the from-scratch software
-//! implementations as the always-available fallback (and the reference
-//! the accelerated paths are tested bit-identical against). Set
-//! `SECBUS_CRYPTO_BACKEND=soft` (or `accel`) to override the probe, the
-//! same pattern as `SECBUS_SIM_CORE`.
+//! The hot paths (batched AES and SHA-256 compression, which every
+//! Merkle build and path walk runs on) dispatch through [`backend`]: a
+//! runtime probe selects AES-NI/SHA-NI intrinsics when the host has
+//! them, with the from-scratch software implementations as the
+//! always-available fallback (and the reference the accelerated paths
+//! are tested bit-identical against). Set `SECBUS_CRYPTO_BACKEND=soft`
+//! (or `accel`) to override the probe, the same pattern as
+//! `SECBUS_SIM_CORE`. The crate starts no threads: a tree builds on the
+//! caller's thread, leaf by leaf and then level by level.
 
 pub mod aes;
 pub mod backend;
@@ -35,7 +37,6 @@ pub mod ctr;
 pub mod journal;
 pub mod kdf;
 pub mod merkle;
-pub mod par;
 pub mod sha256;
 pub mod timestamp;
 

@@ -37,9 +37,6 @@ pub struct NodeCache {
     tick: u64,
     /// `(node index, digest, last-use tick)`, unordered.
     entries: Vec<(usize, Digest, u64)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl NodeCache {
@@ -54,9 +51,6 @@ impl NodeCache {
             capacity,
             tick: 0,
             entries: Vec::with_capacity(capacity),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -73,21 +67,6 @@ impl NodeCache {
     /// Whether nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count (full walks to the root).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// The cached digest for node `idx`, bumping its recency.
@@ -118,7 +97,6 @@ impl NodeCache {
                 .map(|(i, _)| i)
                 .expect("non-empty at capacity");
             self.entries.swap_remove(lru);
-            self.evictions += 1;
         }
         self.entries.push((idx, digest, self.tick));
     }
@@ -198,98 +176,45 @@ pub struct MerkleTree {
     leaves: usize,
 }
 
-/// Leaves each build worker should own before another thread pays off;
-/// [`MerkleTree::build`] sizes its thread count from this, so trees
-/// below ~2× this threshold build serially with zero thread setup.
-const PAR_LEAVES_PER_THREAD: usize = 4096;
-
-/// Interior levels narrower than this are hashed serially even inside a
-/// parallel build — near the root there is too little work per level to
-/// amortize a scoped-thread fork/join.
-const PAR_MIN_LEVEL_WIDTH: usize = 1024;
-
-/// Leaf verifications each worker of [`MerkleTree::verify_all`] should
-/// own before fanning out.
-const PAR_VERIFIES_PER_THREAD: usize = 256;
-
 impl MerkleTree {
     /// Build a tree over `leaves` leaf digests (padded internally to the
     /// next power of two with the digest of an empty leaf).
     ///
-    /// Large trees build their interior levels in parallel (see
-    /// [`MerkleTree::build_with_threads`]); the resulting nodes — and
-    /// therefore the root — are bit-identical for every thread count,
-    /// so callers never observe the parallelism.
-    ///
     /// # Panics
     /// Panics if `initial` is empty.
     pub fn build(initial: &[Digest]) -> Self {
-        let threads = crate::par::auto_threads(initial.len(), PAR_LEAVES_PER_THREAD);
-        Self::build_with_threads(initial, threads)
+        Self::from_fn(initial.len(), |i| initial[i])
     }
 
-    /// [`MerkleTree::build`] with an explicit worker count. Interior
-    /// levels are computed bottom-up; each wide level fans its parent
-    /// hashes out over contiguous index spans (the bench harness's
-    /// order-preserving `par_map_with` discipline, via
-    /// [`crate::par::par_map_indexed`]) and narrow levels near the root
-    /// stay serial. Every node value is a pure function of the level
-    /// below, so the tree is identical for any `threads`.
-    pub fn build_with_threads(initial: &[Digest], threads: usize) -> Self {
-        assert!(!initial.is_empty(), "MerkleTree needs at least one leaf");
-        let leaves = initial.len();
+    /// Build a tree over `leaves` leaves whose digests `leaf(i)` returns,
+    /// called once per leaf in index order. Each digest is written
+    /// straight into the leaf level of the node array, the padding
+    /// leaves up to the next power of two hold the digest of an empty
+    /// leaf, and the interior levels are then hashed in place.
+    ///
+    /// # Panics
+    /// Panics if `leaves` is zero.
+    pub fn from_fn(leaves: usize, mut leaf: impl FnMut(usize) -> Digest) -> Self {
+        assert!(leaves > 0, "MerkleTree needs at least one leaf");
         let capacity = leaves.next_power_of_two();
         let mut nodes = vec![[0u8; 32]; 2 * capacity];
-        let pad = sha256(&[LEAF_TAG]);
-        for i in 0..capacity {
-            nodes[capacity + i] = if i < leaves { initial[i] } else { pad };
+        let (real, pad) = nodes[capacity..].split_at_mut(leaves);
+        for (i, slot) in real.iter_mut().enumerate() {
+            *slot = leaf(i);
         }
-        let threads = threads.max(1);
-        let mut width = capacity / 2;
-        while width >= 1 {
-            if threads > 1 && width >= PAR_MIN_LEVEL_WIDTH {
-                let level: Vec<Digest> = crate::par::par_map_indexed(width, threads, |i| {
-                    let idx = width + i;
-                    node_digest(&nodes[2 * idx], &nodes[2 * idx + 1])
-                });
-                nodes[width..2 * width].copy_from_slice(&level);
-            } else {
-                for i in width..2 * width {
-                    // Digests are Copy: split the slice instead of cloning.
-                    let (upper, lower) = nodes.split_at_mut(2 * i);
-                    upper[i] = node_digest(&lower[0], &lower[1]);
-                }
-            }
-            width /= 2;
+        pad.fill(sha256(&[LEAF_TAG]));
+        // Node `i`'s children `2i` and `2i + 1` sit above it in the
+        // array, so one descending pass hashes every child before its
+        // parent.
+        for i in (1..capacity).rev() {
+            let (upper, lower) = nodes.split_at_mut(2 * i);
+            upper[i] = node_digest(&lower[0], &lower[1]);
         }
         MerkleTree {
             nodes,
             capacity,
             leaves,
         }
-    }
-
-    /// Verify candidate digests for leaves `0..candidates.len()` in
-    /// bulk, fanning independent path walks out over worker threads.
-    /// Element `i` of the result is exactly
-    /// `self.verify_leaf(i, &candidates[i])`.
-    ///
-    /// # Panics
-    /// Panics if there are more candidates than (real) leaves.
-    pub fn verify_all(&self, candidates: &[Digest]) -> Vec<bool> {
-        assert!(
-            candidates.len() <= self.leaves,
-            "more candidates than leaves"
-        );
-        let threads = crate::par::auto_threads(candidates.len(), PAR_VERIFIES_PER_THREAD);
-        crate::par::par_map_indexed(candidates.len(), threads, |i| {
-            self.verify_leaf(i, &candidates[i])
-        })
-    }
-
-    /// Build a tree whose `leaves` leaves all hold `digest`.
-    pub fn uniform(leaves: usize, digest: Digest) -> Self {
-        Self::build(&vec![digest; leaves.max(1)])
     }
 
     /// Number of (real, unpadded) leaves.
@@ -390,7 +315,6 @@ impl MerkleTree {
             idx /= 2;
             if idx > 1 {
                 if let Some(trusted) = cache.get(idx) {
-                    cache.hits += 1;
                     let verified = acc == trusted;
                     if verified {
                         self.cache_path(i, cache);
@@ -404,7 +328,6 @@ impl MerkleTree {
             }
         }
         let verified = acc == self.root();
-        cache.misses += 1;
         if verified {
             self.cache_path(i, cache);
         }
@@ -556,14 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_constructor() {
-        let d = leaf_digest(0, 0, &[0; 16]);
-        let tree = MerkleTree::uniform(16, d);
-        assert_eq!(tree.len(), 16);
-        assert!(tree.verify_leaf(15, &d));
-    }
-
-    #[test]
     fn domain_separation_leaf_vs_node() {
         // An interior node value must not verify as a leaf of a 2-level tree.
         let l = leaves(2);
@@ -641,11 +556,13 @@ mod tests {
         let cold = tree.verify_leaf_cached(7, &leaf, &mut cache);
         assert!(cold.verified && !cold.cache_hit);
         assert_eq!(cold.levels_hashed, tree.height());
+        // The authenticated path, root excluded, is now cached.
+        let path = tree.height() as usize - 1;
+        assert_eq!(cache.len(), path);
         let warm = tree.verify_leaf_cached(7, &leaf, &mut cache);
         assert!(warm.verified && warm.cache_hit);
-        assert!(warm.levels_hashed < cold.levels_hashed);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(warm.levels_hashed, 1, "the leaf's parent is cached");
+        assert_eq!(cache.len(), path, "a hit re-caches the same path");
     }
 
     /// Updates keep cached ancestors coherent: a cached verify after an
@@ -675,23 +592,28 @@ mod tests {
     }
 
     /// Eviction is deterministic: two caches fed the identical access
-    /// sequence are identical in hits, misses and evictions.
+    /// sequence return the identical result for every access.
     #[test]
     fn cache_eviction_is_deterministic() {
         let tree = MerkleTree::build(&leaves(128));
         let run = || {
             let mut cache = NodeCache::new(4);
             let mut state = 0x0dde_7e12_3456_789au64;
-            for _ in 0..200 {
-                let idx = (crate::test_rng::splitmix64(&mut state) % 128) as usize;
-                tree.verify_leaf_cached(idx, &tree.leaf(idx), &mut cache);
-            }
-            (cache.hits(), cache.misses(), cache.evictions(), cache.len())
+            let walks: Vec<CachedVerify> = (0..200)
+                .map(|_| {
+                    let idx = (crate::test_rng::splitmix64(&mut state) % 128) as usize;
+                    tree.verify_leaf_cached(idx, &tree.leaf(idx), &mut cache)
+                })
+                .collect();
+            (walks, cache.len())
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert!(a.2 > 0, "a 4-entry cache under 128 leaves must evict");
+        let (walks, len) = run();
+        assert_eq!((walks.clone(), len), run());
+        assert_eq!(len, 4);
+        // Without eviction nodes 2 and 3 would anchor every walk after
+        // the first miss in each half of the tree.
+        let misses = walks.iter().filter(|w| !w.cache_hit).count();
+        assert!(misses > 2, "a 4-entry cache under 128 leaves must evict");
     }
 
     #[test]
@@ -720,48 +642,6 @@ mod tests {
                 "n={n} idx={idx} byte={byte} bit={bit}"
             );
         }
-    }
-
-    /// Parallel builds are bit-identical to the serial build for every
-    /// thread count, including tree sizes that cross the parallel level
-    /// threshold and non-power-of-two leaf counts.
-    #[test]
-    fn parallel_build_matches_serial_for_any_thread_count() {
-        for n in [1usize, 5, 1023, 2048, 2049, 4096] {
-            let init = leaves(n);
-            let serial = MerkleTree::build_with_threads(&init, 1);
-            for threads in [2, 3, 4, 8, 13] {
-                let par = MerkleTree::build_with_threads(&init, threads);
-                assert_eq!(par.root(), serial.root(), "n={n} threads={threads}");
-                assert_eq!(par.nodes, serial.nodes, "n={n} threads={threads}");
-            }
-            // The auto-sizing entry point too.
-            assert_eq!(MerkleTree::build(&init).nodes, serial.nodes, "n={n}");
-        }
-    }
-
-    /// Bulk parallel verification returns element-wise exactly what the
-    /// per-leaf walk returns, tampered leaves included.
-    #[test]
-    fn verify_all_matches_per_leaf() {
-        let init = leaves(600);
-        let tree = MerkleTree::build(&init);
-        let mut candidates = init.clone();
-        candidates[17][3] ^= 1;
-        candidates[599][0] ^= 0x80;
-        let bulk = tree.verify_all(&candidates);
-        assert_eq!(bulk.len(), 600);
-        for (i, ok) in bulk.iter().enumerate() {
-            assert_eq!(*ok, tree.verify_leaf(i, &candidates[i]), "leaf {i}");
-        }
-        assert!(!bulk[17] && !bulk[599]);
-        assert!(bulk[0] && bulk[18]);
-    }
-
-    #[test]
-    #[should_panic(expected = "more candidates than leaves")]
-    fn verify_all_rejects_excess_candidates() {
-        MerkleTree::build(&leaves(2)).verify_all(&leaves(3));
     }
 
     /// Randomized: arbitrary update sequences keep every leaf verifiable.

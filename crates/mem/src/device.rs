@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use secbus_bus::Width;
+use secbus_bus::{Op, Transaction, Width};
 
 /// Why a device access failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +53,18 @@ pub trait MemDevice: Send {
     /// Cycles the device needs to service an access at `offset` — called
     /// once per transaction (the bus models per-beat occupancy itself).
     fn latency(&mut self, offset: u32, is_write: bool) -> u64;
+
+    /// Service `txn` at `offset` as plain memory: charge
+    /// [`MemDevice::latency`], then read or write. Returns the latency
+    /// and the read data (0 for a write).
+    fn access(&mut self, offset: u32, txn: &Transaction) -> (u64, Result<u32, MemError>) {
+        let latency = self.latency(offset, txn.op == Op::Write);
+        let result = match txn.op {
+            Op::Read => self.read(offset, txn.width),
+            Op::Write => self.write(offset, txn.width, txn.data).map(|()| 0),
+        };
+        (latency, result)
+    }
 
     /// Validate an `(offset, width)` pair against size and alignment.
     fn check(&self, offset: u32, width: Width) -> Result<(), MemError> {

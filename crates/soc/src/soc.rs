@@ -10,7 +10,7 @@ use secbus_bus::{
 use secbus_core::{
     verify, Alert, ConfidentialityMode, ConfigMemory, CryptoTiming, EpochError, FirewallId,
     IntegrityMode, LocalCipheringFirewall, LocalFirewall, PolicyProgram, PolicyUpdate, RateLimit,
-    Reaction, ReconfigController, RecoveryReport, SbTiming, SecureCheckpoint, SecurityMonitor,
+    Reaction, ReconfigController, RecoveryReport, SecureCheckpoint, SecurityMonitor,
     SecurityPolicy, TaintEngine, TaintTag, Violation, WriteVerdict,
 };
 use secbus_cpu::{BusMaster, MasterAccess};
@@ -105,8 +105,6 @@ pub struct SocBuilder {
     clock: Clock,
     bus_config: BusConfig,
     arbiter: Box<dyn Arbiter>,
-    sb_timing: SbTiming,
-    crypto_timing: CryptoTiming,
     monitor_threshold: u64,
     quarantine_cycles: Option<u64>,
     reconfig_latency: u64,
@@ -138,8 +136,6 @@ impl SocBuilder {
             clock: Clock::ML605_DEFAULT,
             bus_config: BusConfig::default(),
             arbiter: Box::new(FixedPriority),
-            sb_timing: SbTiming::PAPER,
-            crypto_timing: CryptoTiming::PAPER,
             monitor_threshold: 0,
             quarantine_cycles: None,
             reconfig_latency: 32,
@@ -240,18 +236,6 @@ impl SocBuilder {
     /// Override the arbitration policy.
     pub fn arbiter(mut self, arbiter: Box<dyn Arbiter>) -> Self {
         self.arbiter = arbiter;
-        self
-    }
-
-    /// Override the Security Builder timing used by every firewall.
-    pub fn sb_timing(mut self, timing: SbTiming) -> Self {
-        self.sb_timing = timing;
-        self
-    }
-
-    /// Override the crypto-core timing used by the LCF.
-    pub fn crypto_timing(mut self, timing: CryptoTiming) -> Self {
-        self.crypto_timing = timing;
         self
     }
 
@@ -395,8 +379,7 @@ impl SocBuilder {
                 let firewall = if self.security {
                     policies.map(|p| {
                         let id = fleet.admit(Home::Master(idx));
-                        let fw = LocalFirewall::new(id, format!("LF {}", device.label()), p)
-                            .with_timing(self.sb_timing);
+                        let fw = LocalFirewall::new(id, format!("LF {}", device.label()), p);
                         match limit {
                             Some(l) => fw.with_rate_limit(l),
                             None => fw,
@@ -428,7 +411,6 @@ impl SocBuilder {
                         format!("LF {label}"),
                         p,
                     )
-                    .with_timing(self.sb_timing)
                 })
             } else {
                 None
@@ -488,9 +470,8 @@ impl SocBuilder {
                         format!("LCF {label}"),
                         p,
                         range.base,
-                        self.crypto_timing,
-                    )
-                    .with_sb_timing(self.sb_timing);
+                        CryptoTiming::PAPER,
+                    );
                     if let Some(entries) = self.ic_cache {
                         lcf.enable_ic_cache(entries);
                     }
@@ -1532,83 +1513,39 @@ impl Soc {
                 );
             }
         }
-        match &mut slot.kind {
+        let (latency, read) = match &mut slot.kind {
             SlaveKind::Bram(bram) => {
-                let offset = txn.addr - slot.base;
-                let latency = bram.latency(offset, txn.op == Op::Write);
-                let (data, result) = match txn.op {
-                    Op::Read => match bram.read(offset, txn.width) {
-                        Ok(v) => (v, Ok(())),
-                        Err(_) => (0, Err(BusError::Slave)),
-                    },
-                    Op::Write => match bram.write(offset, txn.width, txn.data) {
-                        Ok(()) => (0, Ok(())),
-                        Err(_) => (0, Err(BusError::Slave)),
-                    },
-                };
-                (
-                    now.get() + latency,
-                    Response {
-                        txn: txn.id,
-                        data,
-                        result,
-                        completed_at: now,
-                    },
-                )
+                let (latency, read) = bram.access(txn.addr - slot.base, txn);
+                (latency, read.map_err(|_| BusError::Slave))
             }
             SlaveKind::Ddr {
                 ddr,
                 lcf: Some(lcf),
             } => match lcf.handle(ddr, txn, now) {
-                Ok(access) => (
-                    now.get() + access.latency,
-                    Response {
-                        txn: txn.id,
-                        data: access.data,
-                        result: Ok(()),
-                        completed_at: now,
-                    },
-                ),
-                Err((violation, latency)) => {
-                    let err = match violation {
-                        secbus_core::Violation::IntegrityMismatch => BusError::IntegrityViolation,
-                        _ => BusError::Discarded,
-                    };
-                    (
-                        now.get() + latency,
-                        Response {
-                            txn: txn.id,
-                            data: 0,
-                            result: Err(err),
-                            completed_at: now,
-                        },
-                    )
+                Ok(access) => (access.latency, Ok(access.data)),
+                Err((Violation::IntegrityMismatch, latency)) => {
+                    (latency, Err(BusError::IntegrityViolation))
                 }
+                Err((_, latency)) => (latency, Err(BusError::Discarded)),
             },
             SlaveKind::Ddr { ddr, lcf: None } => {
-                let offset = txn.addr - slot.base;
-                let latency = ddr.latency(offset, txn.op == Op::Write);
-                let (data, result) = match txn.op {
-                    Op::Read => match ddr.read(offset, txn.width) {
-                        Ok(v) => (v, Ok(())),
-                        Err(_) => (0, Err(BusError::Slave)),
-                    },
-                    Op::Write => match ddr.write(offset, txn.width, txn.data) {
-                        Ok(()) => (0, Ok(())),
-                        Err(_) => (0, Err(BusError::Slave)),
-                    },
-                };
-                (
-                    now.get() + latency,
-                    Response {
-                        txn: txn.id,
-                        data,
-                        result,
-                        completed_at: now,
-                    },
-                )
+                let (latency, read) = ddr.access(txn.addr - slot.base, txn);
+                (latency, read.map_err(|_| BusError::Slave))
             }
-        }
+        };
+        let (data, result) = match read {
+            Ok(data) => (data, Ok(())),
+            Err(err) => (0, Err(err)),
+        };
+        (
+            now.get() + latency,
+            Response {
+                txn: txn.id,
+                data,
+                result,
+                completed_at: now,
+            },
+        )
     }
 
     fn block_firewall(&mut self, id: FirewallId) {
@@ -1995,32 +1932,28 @@ impl Soc {
                 Some(&(master, _)) => views.push((master, update.policies.as_slice())),
                 None => {
                     let err = EpochError::UnknownFirewall(update.firewall);
-                    return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
+                    return self.refuse_epoch("reconfig.verifier_refusals", err);
                 }
             }
         }
         if let Err(e) = verify(program, &views) {
             let err = EpochError::Verifier(e);
-            return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
+            return self.refuse_epoch("reconfig.verifier_refusals", err);
         }
         self.commit_policy_epoch(updates)
     }
 
     /// Refuse the next epoch before anything is staged: count the
-    /// refusal under `counter` and record its `EpochAbort` with `reason`.
-    fn refuse_epoch(
-        &mut self,
-        counter: &'static str,
-        reason: &'static str,
-        err: EpochError,
-    ) -> Result<u64, EpochError> {
+    /// refusal under `counter` and record its `EpochAbort` with the
+    /// error's reason.
+    fn refuse_epoch(&mut self, counter: &'static str, err: EpochError) -> Result<u64, EpochError> {
         self.stats.incr(counter);
         if let Some(t) = &self.tracer {
             t.record(
                 self.now,
                 TraceEvent::EpochAbort {
                     epoch: self.reconfig.epoch() + 1,
-                    reason,
+                    reason: err.reason(),
                 },
             );
         }
@@ -2044,14 +1977,14 @@ impl Soc {
                     master: String::new(),
                     index: 0,
                 });
-                return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
+                return self.refuse_epoch("reconfig.verifier_refusals", err);
             }
         };
         let mut updates = Vec::with_capacity(compiled.tables.len());
         for table in &compiled.tables {
             let Some(&(_, fw)) = targets.iter().find(|(m, _)| *m == table.master) else {
                 let err = EpochError::UnknownFirewall(FirewallId(table.master));
-                return self.refuse_epoch("reconfig.verifier_refusals", "verifier", err);
+                return self.refuse_epoch("reconfig.verifier_refusals", err);
             };
             updates.push(PolicyUpdate {
                 firewall: fw,
@@ -2113,7 +2046,7 @@ impl Soc {
                 );
             }
             let err = EpochError::TaintedInitiator(fw_id);
-            return self.refuse_epoch("reconfig.tainted_refusals", "tainted_initiator", err);
+            return self.refuse_epoch("reconfig.tainted_refusals", err);
         }
         self.commit_policy_epoch(updates)
     }
@@ -3356,11 +3289,17 @@ mod tests {
             .map(|(_, e)| e)
             .filter(|e| e.kind().starts_with("epoch_"))
             .collect();
-        let abort = TraceEvent::EpochAbort {
-            epoch: 1,
-            reason: "verifier",
-        };
-        assert_eq!(epoch_events, vec![abort; 3]);
+        // Each abort names its refusal: a missing target is the same
+        // `unknown_firewall` that `commit_policy_epoch` records.
+        let abort = |reason| TraceEvent::EpochAbort { epoch: 1, reason };
+        assert_eq!(
+            epoch_events,
+            vec![
+                abort("unknown_firewall"),
+                abort("unknown_firewall"),
+                abort("verifier")
+            ]
+        );
         assert_eq!(soc.stats().counter("reconfig.verifier_refusals"), 3);
         assert_eq!(soc.policy_epoch(), 0);
     }
