@@ -84,7 +84,6 @@ fn build(mode: &Mode) -> Soc {
         }),
         ic_cache: None,
         trace: None,
-        taint: false,
     })
 }
 

@@ -21,13 +21,20 @@
 //! clock as the fallback, all paths timed back-to-back in paired rounds
 //! with the median round (by the headline accel-vs-per-block ratio)
 //! reported, so slow frequency drift cancels out of every ratio. Each
-//! path gets its own rep count so that even the multi-GB/s windows stay
-//! long enough for the 100 Hz CPU clock.
+//! cipher and hash path gets its own rep count so that even the
+//! multi-GB/s windows stay long enough for the 100 Hz CPU clock; the
+//! Merkle builds repeat for 100 ticks of the wall clock.
+
+use std::time::{Duration, Instant};
 
 use secbus_crypto::merkle::leaf_digest;
 use secbus_crypto::{host_caps, sha256_with, CryptoBackend, MemoryCipher, MerkleTree};
 
-use crate::perf::timed;
+use crate::perf::{timed, CPU_TICK_NS};
+
+/// Wall-clock length of each timed Merkle window: 100 ticks of the CPU
+/// clock, so one tick is at most 1% of the reading.
+const MERKLE_WINDOW: Duration = Duration::from_nanos(100 * CPU_TICK_NS);
 
 /// Shape of the host-throughput workload.
 #[derive(Debug, Clone, Copy)]
@@ -46,10 +53,6 @@ pub struct HostWorkload {
     pub sha_accel_bytes: usize,
     /// Leaves in the timed Merkle build.
     pub merkle_leaves: usize,
-    /// Consecutive builds per timed window — a single build is shorter
-    /// than the 100 Hz CPU-clock tick, so windows are stretched and the
-    /// per-build time divided back out.
-    pub merkle_build_reps: usize,
     /// Paired timing rounds (the median round is reported).
     pub rounds: usize,
 }
@@ -66,7 +69,6 @@ impl HostWorkload {
             sha_soft_bytes: 96 << 20,
             sha_accel_bytes: 512 << 20,
             merkle_leaves: 1 << 15,
-            merkle_build_reps: 16,
             rounds: 5,
         }
     }
@@ -83,7 +85,6 @@ impl HostWorkload {
             sha_soft_bytes: 32 << 20,
             sha_accel_bytes: 192 << 20,
             merkle_leaves: 1 << 14,
-            merkle_build_reps: 16,
             rounds: 3,
         }
     }
@@ -224,12 +225,18 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
                     std::hint::black_box(sha256_with(&buf, CryptoBackend::Accel));
                 }
             });
-            let build_reps = w.merkle_build_reps.max(1) as u64;
-            let build_ns = timed(&mut || {
-                for _ in 0..build_reps {
+            // One build is far shorter than a CPU-clock tick, so the
+            // window repeats builds until it spans MERKLE_WINDOW on the
+            // wall clock, and the per-build time is divided back out.
+            let mut builds = 0u64;
+            let window_ns = timed(&mut || {
+                let start = Instant::now();
+                while start.elapsed() < MERKLE_WINDOW {
                     std::hint::black_box(MerkleTree::build(std::hint::black_box(&leaves)));
+                    builds += 1;
                 }
-            }) / build_reps;
+            });
+            let build_ns = window_ns / builds;
             Round {
                 per_block_ns,
                 soft_ns,
@@ -296,7 +303,6 @@ mod tests {
             sha_soft_bytes: 64 * 1024,
             sha_accel_bytes: 64 * 1024,
             merkle_leaves: 256,
-            merkle_build_reps: 2,
             rounds: 1,
         };
         let p = measure_host(&w);

@@ -107,9 +107,7 @@ pub use harness::{finish, ArgError, SoakArgs};
 pub use hostperf::{measure_host, HostPerf, HostWorkload};
 pub use table2::{measure_table2, Table2};
 pub use timing::{bench, measure, Measurement};
-pub use traffic::{
-    sweep_traffic, traffic_overhead, traffic_overhead_multi, OverheadRow, OverheadStat,
-};
+pub use traffic::{sweep_traffic, traffic_overhead, OverheadRow};
 
 #[cfg(test)]
 mod par_map_tests {

@@ -242,6 +242,9 @@ impl CcPerf {
     }
 }
 
+/// One tick of the process CPU clock [`timed`] reads, in nanoseconds.
+pub(crate) const CPU_TICK_NS: u64 = 10_000_000;
+
 /// Host nanoseconds `work` took: process CPU time (user + system, from
 /// `/proc/self/stat`) where it is readable and advanced, wall clock
 /// otherwise (off Linux, or a window shorter than one CPU-clock tick).
@@ -255,7 +258,7 @@ pub(crate) fn timed(work: &mut dyn FnMut()) -> u64 {
         let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
         let utime: u64 = fields.nth(11)?.parse().ok()?;
         let stime: u64 = fields.next()?.parse().ok()?;
-        Some((utime + stime) * 10_000_000)
+        Some((utime + stime) * CPU_TICK_NS)
     };
     let wall = Instant::now();
     let cpu = cpu_ns();

@@ -120,43 +120,6 @@ pub fn traffic_overhead(period: u64, external_pct: u32, total_ops: u64, seed: u6
     }
 }
 
-/// Multi-seed statistics for one sweep point.
-#[derive(Debug, Clone)]
-pub struct OverheadStat {
-    /// Computation period.
-    pub period: u64,
-    /// External-access percentage.
-    pub external_pct: u32,
-    /// Mean overhead across seeds (%).
-    pub mean_pct: f64,
-    /// Smallest overhead observed (%).
-    pub min_pct: f64,
-    /// Largest overhead observed (%).
-    pub max_pct: f64,
-}
-
-/// Evaluate one grid point over several seeds (reported as mean and
-/// range, so EXPERIMENTS.md trends are not one-seed artefacts).
-pub fn traffic_overhead_multi(
-    period: u64,
-    external_pct: u32,
-    total_ops: u64,
-    seeds: &[u64],
-) -> OverheadStat {
-    assert!(!seeds.is_empty());
-    let pcts: Vec<f64> = crate::par_map(seeds.to_vec(), |s| {
-        traffic_overhead(period, external_pct, total_ops, s).overhead_pct()
-    });
-    let mean = pcts.iter().sum::<f64>() / pcts.len() as f64;
-    OverheadStat {
-        period,
-        external_pct,
-        mean_pct: mean,
-        min_pct: pcts.iter().copied().fold(f64::INFINITY, f64::min),
-        max_pct: pcts.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-    }
-}
-
 /// The full sweep grid, evaluated in parallel (independent simulations).
 pub fn sweep_traffic(
     periods: &[u64],
@@ -208,13 +171,6 @@ mod tests {
             external.overhead_pct(),
             internal.overhead_pct()
         );
-    }
-
-    #[test]
-    fn multi_seed_stats_bracket_the_mean() {
-        let stat = traffic_overhead_multi(4, 50, 80, &[1, 2, 3]);
-        assert!(stat.min_pct <= stat.mean_pct && stat.mean_pct <= stat.max_pct);
-        assert!(stat.mean_pct > 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! 3. Otherwise arbitration runs over the masters whose request queue is
 //!    non-empty; the winner's head-of-queue transaction is address-decoded
 //!    and delivered to the owning slave's inbox. The bus stays busy for
-//!    `grant_cycles + burst * beat_cycles` cycles.
+//!    `GRANT_CYCLES + burst * beat_cycles` cycles.
 //!
 //! A decode miss completes immediately with [`BusError::Decode`] — exactly
 //! what a bus timeout unit would report on the real system.
@@ -28,11 +28,12 @@ use crate::addrmap::{AddrRange, AddressMap, OverlapError};
 use crate::arbiter::Arbiter;
 use crate::txn::{BusError, MasterId, Op, Response, SlaveId, Transaction, TxnId, Width};
 
+/// Cycles consumed by arbitration + address phase for each grant.
+const GRANT_CYCLES: u64 = 1;
+
 /// Static bus timing/shape parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct BusConfig {
-    /// Cycles consumed by arbitration + address phase for each grant.
-    pub grant_cycles: u64,
     /// Cycles per data beat once granted.
     pub beat_cycles: u64,
     /// Capacity of the bus-side transaction trace.
@@ -52,7 +53,6 @@ pub struct BusConfig {
 impl Default for BusConfig {
     fn default() -> Self {
         BusConfig {
-            grant_cycles: 1,
             beat_cycles: 1,
             trace_capacity: 4096,
             master_queue_capacity: 64,
@@ -205,19 +205,9 @@ impl SharedBus {
         self.map.insert(range, slave)
     }
 
-    /// The system address map.
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
-    }
-
     /// Number of registered masters.
     pub fn master_count(&self) -> usize {
         self.masters.len()
-    }
-
-    /// Number of registered slaves.
-    pub fn slave_count(&self) -> usize {
-        self.slaves.len()
     }
 
     /// Enqueue a request from `master`; returns the assigned transaction id.
@@ -322,14 +312,6 @@ impl SharedBus {
         let id = TxnId(self.next_id);
         self.next_id += 1;
         id
-    }
-
-    /// Deliver a response directly to `master`'s response queue (firewall
-    /// discard synthesis); arrives on the next tick like any completion.
-    pub fn push_response(&mut self, master: MasterId, response: Response) {
-        self.masters[master.0 as usize]
-            .responses
-            .push_back(response);
     }
 
     /// Pop the next completed response for `master`, if any.
@@ -497,7 +479,7 @@ impl SharedBus {
             // and never completes; nothing is traced as *granted*.
             self.lose_next_grant = false;
             self.stats.incr("bus.fault.lost_grants");
-            self.busy_until = now.get() + self.config.grant_cycles;
+            self.busy_until = now.get() + GRANT_CYCLES;
             return;
         }
         self.stats.incr_slot(BusCounter::Grants);
@@ -515,7 +497,7 @@ impl SharedBus {
         }
         self.trace.push(now, txn);
 
-        let occupancy = self.config.grant_cycles + self.config.beat_cycles * u64::from(txn.burst);
+        let occupancy = GRANT_CYCLES + self.config.beat_cycles * u64::from(txn.burst);
         self.busy_until = now.get() + occupancy;
 
         match self.map.decode(txn.addr) {
@@ -535,11 +517,6 @@ impl SharedBus {
                     });
             }
         }
-    }
-
-    /// Whether the data phase currently occupies the bus at `now`.
-    pub fn is_busy(&self, now: Cycle) -> bool {
-        now.get() < self.busy_until
     }
 
     /// Event-core seam: classify what ticking the bus at `now` would
@@ -721,7 +698,6 @@ mod tests {
     fn round_robin_bus_alternates() {
         let mut b = SharedBus::new(
             BusConfig {
-                grant_cycles: 1,
                 beat_cycles: 0, // make every cycle grantable for the test
                 ..BusConfig::default()
             },
@@ -950,7 +926,6 @@ mod tests {
     fn full_slave_inbox_backpressures_without_loss() {
         let mut b = SharedBus::new(
             BusConfig {
-                grant_cycles: 1,
                 beat_cycles: 0, // every cycle grantable
                 slave_queue_capacity: 1,
                 ..BusConfig::default()

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::fs;
 
 use secbus_bus::{AddrRange, Width};
-use secbus_core::{verify, AdfSet, ConfigMemory, PolicyProgram, Rwa, SecurityPolicy};
+use secbus_core::{verify, CompiledPolicies, ConfigMemory, PolicyProgram, VerifyReport};
 use secbus_cpu::{assemble, disasm_listing, Mb32Core, Reg};
 use secbus_mem::{parse_ihex, Bram, ExternalDdr, HexImage};
 use secbus_sim::Cycle;
@@ -18,7 +18,8 @@ const USAGE: &str =
     "usage: secbus <asm|disasm|run|observe|attacks|policy|reconfig|table1|fig1|backends> …
   secbus asm <file.s>               assemble MB32 source to hex words
   secbus disasm <file.hex>          disassemble hex words (one per line)
-  secbus run <file.s> [--cycles N] [--unprotected] [--policy <file.json>]\n             [--image <boot.ihex>] [--trace] [--audit[-json]]
+  secbus run <file.s> [--cycles N] [--unprotected] [--policy <file.policy>]\n             [--image <boot.ihex>] [--trace] [--audit[-json]]
+                                    run on a one-core SoC; --policy loads\n                                    cpu0's table (master 0) from a verified\n                                    DSL program
   secbus observe [--metrics] [--trace-out <file.json>] [--tail N]\n             [--attack] [--cycles N]
                                     run the case study with the observability\n                                    spine armed; export metrics / Chrome trace
   secbus attacks [--seed N]
@@ -31,12 +32,21 @@ const USAGE: &str =
   secbus policy template            print a policy-DSL skeleton
   secbus reconfig [--seed N]        storm live policy epochs through a flooded\n                                    SoC and print the zero-loss verdict
   secbus table1 | fig1
-  secbus policy-template            print a JSON policy-file skeleton
   secbus backends                   show detected crypto hardware and the\n                                    active backend (SECBUS_CRYPTO_BACKEND)
 ";
 
 /// The BRAM window the `run` sandbox maps and authorizes.
 const BRAM_BASE: u32 = 0x2000_0000;
+
+/// The `run` sandbox's policy when `--policy` is not given: cpu0 may
+/// read and write, at any width, the whole BRAM and the whole DDR.
+const DEFAULT_POLICY: &str = "\
+master cpu0 = 0
+region bram = 0x2000_0000 + 0x1_0000
+region ddr  = 0x8000_0000 + 0x10_0000
+allow cpu0 bram rw
+allow cpu0 ddr  rw
+";
 
 /// Parse `--flag value` style options from an argument list.
 fn opt_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
@@ -51,6 +61,11 @@ fn opt_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Stri
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Read a source file, naming it in the error.
+fn read_source(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Route a command line to its implementation.
@@ -70,7 +85,6 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
         Some("table2") => {
             Err("table2 lives in the bench crate: cargo run -p secbus-bench --bin table2".into())
         }
-        Some("policy-template") => Ok(crate::policyfile::template() + "\n"),
         Some("backends") => Ok(cmd_backends()),
         Some("fig1") => {
             let soc = secbus_soc::casestudy::case_study(Default::default());
@@ -103,7 +117,7 @@ fn cmd_backends() -> String {
 
 fn cmd_asm(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("asm needs a source file")?;
-    let src = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let src = read_source(path)?;
     let words = assemble(&src).map_err(|e| format!("{path}: {e}"))?;
     let mut out = String::new();
     for w in words {
@@ -114,7 +128,7 @@ fn cmd_asm(args: &[String]) -> Result<String, String> {
 
 fn cmd_disasm(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("disasm needs a hex file")?;
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let text = read_source(path)?;
     let words = parse_hex_words(&text)?;
     Ok(disasm_listing(0, &words))
 }
@@ -131,22 +145,19 @@ pub fn parse_hex_words(text: &str) -> Result<Vec<u32>, String> {
 
 fn cmd_run(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("run needs a source file")?;
-    let src = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let src = read_source(path)?;
     let cycles: u64 = opt_value(args, "--cycles")?
         .map(|v| v.parse().map_err(|e| format!("--cycles: {e}")))
         .transpose()?
         .unwrap_or(1_000_000);
     let protected = !has_flag(args, "--unprotected");
     let policies = match opt_value(args, "--policy")? {
-        Some(path) => {
-            let json = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(crate::policyfile::parse_policies(&json)?)
-        }
-        None => None,
+        Some(path) => sandbox_table(path, &read_source(path)?)?,
+        None => sandbox_table("default policy", DEFAULT_POLICY)?,
     };
     let image = match opt_value(args, "--image")? {
         Some(path) => {
-            let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let text = read_source(path)?;
             Some(parse_ihex(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => None,
@@ -166,38 +177,42 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// Parse, compile and exhaustively verify a DSL policy program: the one
+/// admission path for `policy check`, `policy compile` and `run`.
+/// `name` (the file, or what stands in for one) prefixes every error; a
+/// refused program's error carries the verifier's counterexample.
+fn verified_policies(name: &str, src: &str) -> Result<(CompiledPolicies, VerifyReport), String> {
+    let program = PolicyProgram::parse(src).map_err(|e| format!("{name}: {e}"))?;
+    let compiled = program.compile().map_err(|e| format!("{name}: {e}"))?;
+    let report =
+        verify(&program, &compiled.as_views()).map_err(|e| format!("{name}: REJECTED\n  {e}"))?;
+    Ok((compiled, report))
+}
+
+/// The `run` sandbox's firewall table: master 0's verified table, the
+/// sandbox's one core.
+fn sandbox_table(name: &str, src: &str) -> Result<ConfigMemory, String> {
+    let (compiled, _) = verified_policies(name, src)?;
+    let table = compiled
+        .table(0)
+        .ok_or_else(|| format!("{name}: no master 0 declared (the sandbox's one core)"))?;
+    ConfigMemory::with_policies(table.policies.clone()).map_err(|e| format!("{name}: {e}"))
+}
+
 /// Build the `run` sandbox (one core behind its firewall, 64 KiB BRAM,
-/// 1 MiB protected DDR) with `policies` or the default set, load the
-/// optional Intel-HEX boot image into the external DDR before the LCF
-/// seals it, run it once and report. The SoC comes back with the report
-/// so the audit and the bus trace read the same run.
+/// 1 MiB protected DDR) with `policies`, load the optional Intel-HEX
+/// boot image into the external DDR before the LCF seals it, run it once
+/// and report. The SoC comes back with the report so the audit and the
+/// bus trace read the same run.
 fn run_program_image(
     src: &str,
     cycles: u64,
     protected: bool,
-    policies: Option<ConfigMemory>,
+    policies: ConfigMemory,
     image: Option<HexImage>,
 ) -> Result<(Soc, String), String> {
     let program = assemble(src).map_err(|e| e.to_string())?;
     let core = Mb32Core::with_local_program("cpu0", 0, program);
-    let policies = match policies {
-        Some(p) => p,
-        None => ConfigMemory::with_policies(vec![
-            SecurityPolicy::internal(
-                1,
-                AddrRange::new(BRAM_BASE, 0x1_0000),
-                Rwa::ReadWrite,
-                AdfSet::ALL,
-            ),
-            SecurityPolicy::internal(
-                2,
-                AddrRange::new(DDR_BASE, DDR_LEN),
-                Rwa::ReadWrite,
-                AdfSet::ALL,
-            ),
-        ])
-        .map_err(|e| e.to_string())?,
-    };
     let mut builder = SocBuilder::new();
     if !protected {
         builder = builder.without_security();
@@ -405,10 +420,7 @@ fn cmd_policy(args: &[String]) -> Result<String, String> {
         Some("template") => Ok(secbus_core::policy_dsl::template().to_string()),
         Some("check") => {
             let path = args.get(1).ok_or("policy check needs a .policy file")?;
-            let (program, compiled) = load_policy_program(path)?;
-            let views = compiled.as_views();
-            let report =
-                verify(&program, &views).map_err(|e| format!("{path}: REJECTED\n  {e}"))?;
+            let (_, report) = verified_policies(path, &read_source(path)?)?;
             Ok(format!(
                 "{path}: OK\n  {} masters, {} rules -> {} compiled policies\n  \
                  {} (addr, op, width) samples checked, zero intent/table divergence\n",
@@ -417,9 +429,7 @@ fn cmd_policy(args: &[String]) -> Result<String, String> {
         }
         Some("compile") => {
             let path = args.get(1).ok_or("policy compile needs a .policy file")?;
-            let (program, compiled) = load_policy_program(path)?;
-            let views = compiled.as_views();
-            verify(&program, &views).map_err(|e| format!("{path}: REJECTED\n  {e}"))?;
+            let (compiled, _) = verified_policies(path, &read_source(path)?)?;
             let mut out = String::new();
             for table in &compiled.tables {
                 writeln!(
@@ -462,16 +472,6 @@ fn cmd_policy(args: &[String]) -> Result<String, String> {
         )),
         None => Err(POLICY_USAGE.into()),
     }
-}
-
-/// Read, parse and compile a DSL policy file.
-fn load_policy_program(
-    path: &str,
-) -> Result<(PolicyProgram, secbus_core::CompiledPolicies), String> {
-    let src = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = PolicyProgram::parse(&src).map_err(|e| format!("{path}: {e}"))?;
-    let compiled = program.compile().map_err(|e| format!("{path}: {e}"))?;
-    Ok((program, compiled))
 }
 
 /// `secbus reconfig` — a small S-20 cell, bare vs protected: policy-epoch
@@ -722,13 +722,38 @@ mod tests {
         assert!(has_flag(&argv(&["a", "--unprotected"]), "--unprotected"));
     }
 
+    fn default_table() -> ConfigMemory {
+        sandbox_table("default policy", DEFAULT_POLICY).unwrap()
+    }
+
+    #[test]
+    fn default_policy_compiles_to_the_sandbox_windows() {
+        use secbus_core::{AdfSet, Rwa, SecurityPolicy};
+        // SPIs follow rule order: the BRAM rule gets 1, the DDR rule 2.
+        let expected = [
+            SecurityPolicy::internal(
+                1,
+                AddrRange::new(BRAM_BASE, 0x1_0000),
+                Rwa::ReadWrite,
+                AdfSet::ALL,
+            ),
+            SecurityPolicy::internal(
+                2,
+                AddrRange::new(DDR_BASE, DDR_LEN),
+                Rwa::ReadWrite,
+                AdfSet::ALL,
+            ),
+        ];
+        assert_eq!(default_table().policies(), expected);
+    }
+
     #[test]
     fn run_program_end_to_end() {
         let (_, out) = run_program_image(
             "li r1, 0x20000000\naddi r2, r0, 7\nsw r2, 0(r1)\nhalt",
             100_000,
             true,
-            None,
+            default_table(),
             None,
         )
         .unwrap();
@@ -739,37 +764,34 @@ mod tests {
 
     #[test]
     fn run_program_reports_budget_exhaustion() {
-        let (_, out) = run_program_image("loop: j loop", 1_000, true, None, None).unwrap();
+        let (_, out) =
+            run_program_image("loop: j loop", 1_000, true, default_table(), None).unwrap();
         assert!(out.contains("budget"));
     }
 
     #[test]
     fn run_program_propagates_asm_errors() {
-        let Err(err) = run_program_image("bogus r1", 10, true, None, None) else {
+        let Err(err) = run_program_image("bogus r1", 10, true, default_table(), None) else {
             panic!("bogus source assembled");
         };
         assert!(err.contains("bogus"));
     }
 
     #[test]
-    fn policy_template_parses_back() {
-        let out = dispatch(&argv(&["policy-template"])).unwrap();
-        assert!(crate::policyfile::parse_policies(&out).is_ok());
-    }
-
-    #[test]
     fn run_with_restrictive_policy_raises_alerts() {
         // A policy covering only the DDR: the BRAM store gets discarded.
-        let cm = crate::policyfile::parse_policies(
-            r#"[{"spi":5,"region":{"base":2147483648,"len":1048576},
-                 "rwa":"ReadWrite","adf":7,"cm":"Bypass","im":"Bypass","key":null}]"#,
+        let cm = sandbox_table(
+            "ddr only",
+            "master cpu0 = 0\n\
+             region ddr = 0x8000_0000 + 0x10_0000\n\
+             allow cpu0 ddr rw\n",
         )
         .unwrap();
         let (_, out) = run_program_image(
             "li r1, 0x20000000\nsw r0, 0(r1)\nhalt",
             100_000,
             true,
-            Some(cm),
+            cm,
             None,
         )
         .unwrap();
@@ -787,7 +809,7 @@ mod tests {
             "li r1, 0x80080000\nlw r2, 0(r1)\nhalt",
             200_000,
             true,
-            None,
+            default_table(),
             Some(img),
         )
         .unwrap();
@@ -797,7 +819,7 @@ mod tests {
     #[test]
     fn image_outside_ddr_is_rejected() {
         let img = parse_ihex(&secbus_mem::encode_ihex(&[(0x1000, vec![1])])).unwrap();
-        let Err(err) = run_program_image("halt", 100, true, None, Some(img)) else {
+        let Err(err) = run_program_image("halt", 100, true, default_table(), Some(img)) else {
             panic!("an image outside the DDR loaded");
         };
         assert!(err.contains("outside the DDR"));

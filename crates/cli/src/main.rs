@@ -6,7 +6,8 @@
 //! secbus run <file.s> [opts]       run a program on a one-core protected SoC
 //!     --cycles <n>                 cycle budget (default 1_000_000)
 //!     --unprotected                build without firewalls
-//!     --policy <file.json>         load the firewall policy table
+//!     --policy <file.policy>       load cpu0's table from a verified DSL
+//!                                  program (default: all of BRAM and DDR)
 //!     --image <boot.ihex>          preload the external DDR
 //!     --trace                      append the bus trace
 //!     --audit | --audit-json       append the security audit
@@ -21,13 +22,17 @@
 //!                                  show shedding, brownout and conservation
 //! secbus table1                    regenerate the paper's Table I
 //! secbus fig1                      regenerate the architecture figure
-//! secbus policy-template           print a JSON policy skeleton
+//! secbus policy check <file.policy>
+//!                                  parse, compile and exhaustively verify a
+//!                                  policy DSL program
+//! secbus policy compile <file.policy>
+//!                                  print the verified per-master tables
+//! secbus policy template           print a policy DSL skeleton
 //! ```
 
 use std::process::ExitCode;
 
 mod commands;
-mod policyfile;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

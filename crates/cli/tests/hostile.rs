@@ -97,12 +97,42 @@ fn run_with_flag_missing_its_value_is_a_typed_error() {
 }
 
 #[test]
-fn run_with_malformed_policy_json_is_a_typed_error() {
+fn run_with_malformed_policy_is_a_typed_error() {
     let src = Scratch::new("polsrc.s", "");
-    let policy = Scratch::new("broken.json", "{ this is not json ");
+    let policy = Scratch::new("broken.policy", "region { this is not the DSL }");
     assert_typed_failure(
         &secbus(&["run", src.path(), "--policy", policy.path()]),
-        "secbus: ",
+        policy.path(),
+    );
+}
+
+#[test]
+fn run_with_shadowed_policy_prints_the_counterexample() {
+    let src = Scratch::new("shadowsrc.s", "halt\n");
+    let policy = Scratch::new(
+        "shadowed.policy",
+        "master cpu0 = 0\n\
+         region ddr = 0x8000_0000 + 0x1000\n\
+         allow cpu0 ddr rw\n\
+         allow cpu0 ddr ro\n",
+    );
+    let out = secbus(&["run", src.path(), "--policy", policy.path()]);
+    assert_typed_failure(&out, "REJECTED");
+    assert_typed_failure(&out, "line 4 can never fire — line 3 already rules");
+}
+
+#[test]
+fn run_with_policy_lacking_master_0_is_a_typed_error() {
+    let src = Scratch::new("nomaster0src.s", "halt\n");
+    let policy = Scratch::new(
+        "nomaster0.policy",
+        "master dma = 1\n\
+         region bram = 0x2000_0000 + 0x1_0000\n\
+         allow dma bram rw\n",
+    );
+    assert_typed_failure(
+        &secbus(&["run", src.path(), "--policy", policy.path()]),
+        "no master 0",
     );
 }
 

@@ -389,11 +389,6 @@ impl LocalCipheringFirewall {
         }
     }
 
-    /// Whether the Integrity-Core node cache is enabled.
-    pub fn ic_cache_enabled(&self) -> bool {
-        self.ic_cache_entries.is_some()
-    }
-
     /// Turn on the crash-consistency layer: a write-ahead journal with
     /// shadow-root two-phase commit, folded into a MAC-sealed
     /// [`SecureStateImage`] every `interval` commits, guarded by a
@@ -521,11 +516,6 @@ impl LocalCipheringFirewall {
         }
         self.stats.add("lcf.seal_cycles", cycles);
         cycles
-    }
-
-    /// Whether [`LocalCipheringFirewall::seal`] has run.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
     }
 
     /// Index of the region containing `addr`: the last-hit slot first

@@ -2,7 +2,7 @@
 //!
 //! Packet-level model: a packet follows its precomputed route; at each
 //! hop it competes FIFO for the output link of the current router. A hop
-//! costs `router_cycles` (pipeline) plus `flits × flit_cycles`
+//! costs `ROUTER_CYCLES` (pipeline) plus `flits × FLIT_CYCLES`
 //! (serialization), and a link carries one packet at a time. This captures
 //! what matters for the comparison with the shared bus: per-hop latency,
 //! path parallelism (disjoint routes do not contend) and hot-spot
@@ -15,7 +15,7 @@
 //! [`FaultMap`] fed by two deterministic detectors:
 //!
 //! * **consecutive-CRC/ack-failure streaks** declare a directed link dead
-//!   after [`NocConfig::link_fail_streak`] back-to-back failures;
+//!   after `LINK_FAIL_STREAK` back-to-back failures;
 //! * **heartbeats** declare a router dead [`NocConfig::heartbeat_timeout`]
 //!   cycles after it stops responding.
 //!
@@ -73,24 +73,25 @@ fn content_stamp(p: &Packet) -> u32 {
     crc32(&bytes)
 }
 
-/// Mesh timing and protection parameters.
+/// Router pipeline depth per hop.
+const ROUTER_CYCLES: u64 = 3;
+/// Serialization cost per flit on each link.
+const FLIT_CYCLES: u64 = 1;
+/// Consecutive CRC/ack failures before a link enters the fault map.
+const LINK_FAIL_STREAK: u32 = 3;
+/// Retransmission budget per hop before the packet escalates to an alert
+/// (livelock bound on a flapping link).
+const MAX_RETX_PER_HOP: u32 = 8;
+/// Reroute budget per packet (livelock bound on cascading failures).
+const MAX_REROUTES: u32 = 8;
+
+/// Mesh protection and capacity parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NocConfig {
-    /// Router pipeline depth per hop.
-    pub router_cycles: u64,
-    /// Serialization cost per flit on each link.
-    pub flit_cycles: u64,
     /// Link-level protection: flit CRC + ack/nack + retransmission,
     /// failure detection and security-preserving adaptive rerouting.
     /// Off reproduces the bare mesh cycle for cycle.
     pub protected: bool,
-    /// Consecutive CRC/ack failures before a link enters the fault map.
-    pub link_fail_streak: u32,
-    /// Retransmission budget per hop before the packet escalates to an
-    /// alert (livelock bound on a flapping link).
-    pub max_retx_per_hop: u32,
-    /// Reroute budget per packet (livelock bound on cascading failures).
-    pub max_reroutes: u32,
     /// Cycles without a heartbeat before neighbors declare a router dead.
     pub heartbeat_timeout: u64,
     /// Buffer credits per router: the maximum number of packets resident
@@ -108,12 +109,7 @@ pub struct NocConfig {
 impl Default for NocConfig {
     fn default() -> Self {
         NocConfig {
-            router_cycles: 3,
-            flit_cycles: 1,
             protected: false,
-            link_fail_streak: 3,
-            max_retx_per_hop: 8,
-            max_reroutes: 8,
             heartbeat_timeout: 48,
             node_capacity: 64,
             max_credit_wait: 256,
@@ -487,7 +483,7 @@ impl Mesh {
         self.flights.push(Flight {
             ready_at: if local {
                 // Local delivery: just the router pipeline once.
-                now.get() + self.config.router_cycles
+                now.get() + ROUTER_CYCLES
             } else {
                 now.get()
             },
@@ -558,7 +554,6 @@ impl Mesh {
     fn reroute(
         flight: &mut Flight,
         fault_map: &FaultMap,
-        config: &NocConfig,
         stats: &mut Stats,
         now: Cycle,
     ) -> Option<LossReason> {
@@ -566,7 +561,7 @@ impl Mesh {
             return Some(LossReason::EmptyRoute);
         };
         flight.reroutes += 1;
-        if flight.reroutes > config.max_reroutes {
+        if flight.reroutes > MAX_REROUTES {
             return Some(LossReason::RerouteBudgetExhausted);
         }
         match adaptive_route(from, flight.packet.dst, fault_map) {
@@ -576,7 +571,7 @@ impl Mesh {
                 flight.hop = 1;
                 flight.retx_hop = 0;
                 // Route recomputation charges one router pipeline pass.
-                flight.ready_at = now.get() + config.router_cycles;
+                flight.ready_at = now.get() + ROUTER_CYCLES;
                 None
             }
             None => Some(LossReason::Unroutable),
@@ -613,9 +608,7 @@ impl Mesh {
                 && (!self.fault_map.router_ok(to) || !self.fault_map.link_ok(from, to))
             {
                 // The fault map already knows this hop is dead: detour.
-                if let Some(reason) =
-                    Self::reroute(flight, &self.fault_map, &self.config, &mut self.stats, now)
-                {
+                if let Some(reason) = Self::reroute(flight, &self.fault_map, &mut self.stats, now) {
                     outcomes.push(Outcome::Lost(idx, reason));
                 }
                 continue;
@@ -638,8 +631,7 @@ impl Mesh {
                 self.stats.incr_slot(MeshCounter::LinkWaitCycles);
                 continue; // contend next cycle
             }
-            let hop_cost = self.config.router_cycles
-                + self.config.flit_cycles * u64::from(flight.packet.flits.max(1));
+            let hop_cost = ROUTER_CYCLES + FLIT_CYCLES * u64::from(flight.packet.flits.max(1));
             let to_dead = self.routers[to_idx].stuck_since.is_some();
             let broken = self.links[link].broken;
             if broken || to_dead {
@@ -690,12 +682,12 @@ impl Mesh {
                     );
                 }
                 self.links[link].streak += 1;
-                if self.links[link].streak >= self.config.link_fail_streak {
+                if self.links[link].streak >= LINK_FAIL_STREAK {
                     let dir = direction_index(from, to);
                     if self.fault_map.fail_link(from, dir) {
                         self.stats.incr("noc.link_failures_detected");
                     }
-                } else if flight.retx_hop >= self.config.max_retx_per_hop {
+                } else if flight.retx_hop >= MAX_RETX_PER_HOP {
                     outcomes.push(Outcome::Lost(idx, LossReason::RetriesExhausted));
                 }
                 continue;
@@ -720,7 +712,7 @@ impl Mesh {
                         );
                     }
                     self.links[link].streak += 1;
-                    if flight.retx_hop >= self.config.max_retx_per_hop {
+                    if flight.retx_hop >= MAX_RETX_PER_HOP {
                         outcomes.push(Outcome::Lost(idx, LossReason::RetriesExhausted));
                     }
                     continue;

@@ -32,11 +32,11 @@ pub struct ProbeReport {
     pub by_kind: Vec<(String, u64)>,
 }
 
-/// A network interface with an Address Protection Unit.
+/// A network interface with an Address Protection Unit. Every check costs
+/// the paper's checking latency, [`SbTiming::PAPER`].
 pub struct NetworkInterface {
     node: NodeId,
     apu: ConfigMemory,
-    timing: SbTiming,
     stats: Stats,
 }
 
@@ -46,15 +46,8 @@ impl NetworkInterface {
         NetworkInterface {
             node,
             apu: policies,
-            timing: SbTiming::PAPER,
             stats: Stats::new(),
         }
-    }
-
-    /// Override the checking latency.
-    pub fn with_timing(mut self, timing: SbTiming) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// The mesh position of this interface.
@@ -67,7 +60,7 @@ impl NetworkInterface {
     /// the interface.
     pub fn check(&mut self, txn: &Transaction, _now: Cycle) -> Result<u64, (Violation, u64)> {
         self.stats.incr("ni.checked");
-        let latency = self.timing.total();
+        let latency = SbTiming::PAPER.total();
         let outcome = match self.apu.lookup(txn.addr) {
             None => CheckOutcome::Fail(Violation::NoPolicy),
             Some(policy) => secbus_core::checker::check_all(policy, txn),
@@ -98,7 +91,7 @@ impl NetworkInterface {
         _now: Cycle,
     ) -> Result<u64, (Violation, u64)> {
         self.stats.incr("ni.ingress_checked");
-        let latency = self.timing.total();
+        let latency = SbTiming::PAPER.total();
         let outcome = match self.apu.lookup(txn.addr) {
             None => CheckOutcome::Fail(Violation::NoPolicy),
             Some(policy) => secbus_core::checker::check_all(policy, txn),

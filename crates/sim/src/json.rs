@@ -1,12 +1,12 @@
 //! A minimal, dependency-free JSON value, parser and writer.
 //!
 //! The simulator runs in hermetic environments where pulling a JSON crate
-//! is not an option, yet the CLI reads policy files, the audit path emits
-//! machine-readable reports, and the chaos harness must write
-//! **byte-identical** reports for identical seeds. This module covers that
-//! surface: a [`Json`] value whose objects preserve insertion order (so
-//! rendering is deterministic), a strict recursive-descent parser, and
-//! compact / pretty writers.
+//! is not an option, yet `perf_soak` reads its recorded baseline, the
+//! audit path emits machine-readable reports, and the chaos harness must
+//! write **byte-identical** reports for identical seeds. This module
+//! covers that surface: a [`Json`] value whose objects preserve insertion
+//! order (so rendering is deterministic), a strict recursive-descent
+//! parser, and compact / pretty writers.
 //!
 //! Numbers are stored as `f64`; every integer the simulator serializes
 //! (addresses, cycle counts, rates) fits exactly below 2^53, and the

@@ -75,11 +75,6 @@ pub struct CaseStudyConfig {
     /// Observability spine capacity in retained trace events (`None` =
     /// tracing off; behaviour is identical either way).
     pub trace: Option<usize>,
-    /// Arm DIFT taint tracking over the firewall fabric (see
-    /// [`SocBuilder::taint_tracking`]). Off by default: the benign
-    /// case-study programs never move public data into the private
-    /// region, so arming it changes nothing for them.
-    pub taint: bool,
 }
 
 impl Default for CaseStudyConfig {
@@ -92,7 +87,6 @@ impl Default for CaseStudyConfig {
             resilience: None,
             ic_cache: None,
             trace: None,
-            taint: false,
         }
     }
 }
@@ -360,9 +354,6 @@ pub fn case_study(config: CaseStudyConfig) -> Soc {
     }
     if let Some(capacity) = config.trace {
         builder = builder.trace(capacity);
-    }
-    if config.taint {
-        builder = builder.taint_tracking();
     }
     let policy_sets = [cpu0_policies(), cpu1_policies(), cpu2_policies()];
     for (core, policies) in cores.into_iter().zip(policy_sets) {

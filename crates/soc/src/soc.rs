@@ -102,7 +102,6 @@ struct AutoRecover {
 
 /// Builder for a [`Soc`].
 pub struct SocBuilder {
-    clock: Clock,
     bus_config: BusConfig,
     arbiter: Box<dyn Arbiter>,
     monitor_threshold: u64,
@@ -130,10 +129,9 @@ impl Default for SocBuilder {
 }
 
 impl SocBuilder {
-    /// Start a build with the ML605 default clock and a fixed-priority bus.
+    /// Start a build with a fixed-priority bus.
     pub fn new() -> Self {
         SocBuilder {
-            clock: Clock::ML605_DEFAULT,
             bus_config: BusConfig::default(),
             arbiter: Box::new(FixedPriority),
             monitor_threshold: 0,
@@ -218,12 +216,6 @@ impl SocBuilder {
     /// blocked.
     pub fn resume_from(mut self, checkpoint: SecureCheckpoint) -> Self {
         self.resume = Some(checkpoint);
-        self
-    }
-
-    /// Override the system clock.
-    pub fn clock(mut self, clock: Clock) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -543,7 +535,6 @@ impl SocBuilder {
             .count();
 
         Ok(Soc {
-            clock: self.clock,
             now: Cycle::ZERO,
             bus,
             masters,
@@ -942,7 +933,6 @@ impl MasterAccess for PortAdapter<'_> {
 
 /// The assembled system.
 pub struct Soc {
-    clock: Clock,
     now: Cycle,
     bus: SharedBus,
     masters: Vec<MasterSlot>,
@@ -1788,9 +1778,9 @@ impl Soc {
         self.now
     }
 
-    /// The system clock.
+    /// The system clock: the ML605's 100 MHz.
     pub fn clock(&self) -> Clock {
-        self.clock
+        Clock::ML605_DEFAULT
     }
 
     /// Whether firewalls were instantiated.
