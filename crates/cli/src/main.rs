@@ -30,19 +30,31 @@
 //! secbus policy template           print a policy DSL skeleton
 //! ```
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 mod commands;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&args) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+    let output = match commands::dispatch(&args) {
+        Ok(output) => output,
         Err(e) => {
             eprintln!("secbus: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(output.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`secbus ... | head`): nothing is left to
+        // tell anyone, so exit quietly.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("secbus: writing output: {e}");
             ExitCode::FAILURE
         }
     }

@@ -4,7 +4,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn secbus(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_secbus"))
@@ -181,4 +181,21 @@ fn backends_succeeds_and_reports_detection() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("aes-ni"));
     assert!(stdout.contains("active"));
+}
+
+/// A reader that closes its end early (`secbus fig1 | head -0`) must
+/// not turn the write error into a panic: the run ends quietly.
+#[test]
+fn closed_stdout_is_a_quiet_exit_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_secbus"))
+        .arg("fig1")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("failed to spawn secbus binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "panicked on EPIPE: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "panic exit status: {stderr}");
 }

@@ -28,7 +28,7 @@
 //! which is what the Table II bench measures at the 100 MHz system clock.
 
 use secbus_bus::{Op, Transaction};
-use secbus_crypto::merkle::leaf_digest;
+use secbus_crypto::merkle::{leaf_digest, leaf_digests};
 use secbus_crypto::sha256::Digest;
 use secbus_crypto::{
     CryptoBackend, IntentRecord, MemoryCipher, MerkleTree, MonotonicCounter, NodeCache,
@@ -158,6 +158,34 @@ impl Region {
         self.tree = Some(tree);
         self.ic_cache = cache_entries.map(NodeCache::new);
     }
+
+    /// Cipher the region's bytes in `ddr` (whose bus address `ddr_base`
+    /// is device offset 0) in place, one stack chunk at a time: snoop
+    /// the chunk, decrypt it under `old` when the region already holds
+    /// ciphertext, encrypt it under `new`, and write it back. Every
+    /// block is ciphered under its own time-stamp both ways. Seal is the
+    /// pass with no old key; a re-key, the pass with one.
+    fn cipher_in_place(
+        &self,
+        ddr: &mut ExternalDdr,
+        ddr_base: u32,
+        old: Option<&MemoryCipher>,
+        new: &MemoryCipher,
+    ) {
+        const BLOCK: usize = PROTECTION_BLOCK as usize;
+        let mut chunk = [0u8; CIPHER_CHUNK_BLOCKS * BLOCK];
+        let tags = self.timestamps.tags();
+        for (c, tags) in tags.chunks(CIPHER_CHUNK_BLOCKS).enumerate() {
+            let addr = self.base + (c * CIPHER_CHUNK_BLOCKS * BLOCK) as u32;
+            let buf = &mut chunk[..tags.len() * BLOCK];
+            buf.copy_from_slice(ddr.snoop(addr - ddr_base, buf.len() as u32));
+            if let Some(old) = old {
+                old.apply_tagged(u64::from(addr), tags, buf);
+            }
+            new.apply_tagged(u64::from(addr), tags, buf);
+            ddr.tamper(addr - ddr_base, buf);
+        }
+    }
 }
 
 /// Protection blocks in a region of `len` bytes: the length of its
@@ -173,12 +201,13 @@ fn region_blocks(protection: Protection, len: u32) -> usize {
 /// offset `dev_off`: leaf `i` hashes block `i` as stored in `ddr`, bound
 /// to its index and its time-stamp `tags[i]`.
 fn region_tree(ddr: &ExternalDdr, dev_off: u32, tags: &[u64]) -> MerkleTree {
-    const BLOCK: usize = PROTECTION_BLOCK as usize;
     let blocks = ddr.snoop(dev_off, tags.len() as u32 * PROTECTION_BLOCK);
-    MerkleTree::from_fn(tags.len(), |i| {
-        leaf_digest(i as u64, tags[i], &blocks[i * BLOCK..(i + 1) * BLOCK])
-    })
+    MerkleTree::from_fn(tags.len(), |level| leaf_digests(blocks, tags, level))
 }
+
+/// Protection blocks per stack chunk of [`Region::cipher_in_place`]
+/// (1 KiB).
+const CIPHER_CHUNK_BLOCKS: usize = 64;
 
 /// Why a re-key request was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -498,13 +527,14 @@ impl LocalCipheringFirewall {
                 continue;
             }
             let cipher = region.cipher.as_ref().expect("protected region has a key");
-            let dev_off = region.base - self.ddr_base;
-            let mut buf = ddr.snoop(dev_off, region.len).to_vec();
-            cipher.apply(u64::from(region.base), 0, &mut buf);
+            debug_assert!(
+                region.timestamps.total_writes() == 0,
+                "a boot image is unwritten"
+            );
+            region.cipher_in_place(ddr, self.ddr_base, None, cipher);
             self.stats
                 .add("lcf.cc_bytes_ciphered", u64::from(region.len));
             cycles += self.timing.cc_stream_cycles(u64::from(region.len) * 8);
-            ddr.tamper(dev_off, &buf);
             if region.protection == Protection::CipherIntegrity {
                 cycles += self.timing.ic_stream_cycles(u64::from(region.len) * 8);
             }
@@ -886,27 +916,16 @@ impl LocalCipheringFirewall {
     }
 
     /// Re-cipher ciphered region `idx` in place under `new_key`, one
-    /// 16-byte block at a time: decrypt under the old key, re-encrypt
-    /// under the new one, same address and time-stamp. Charges and counts
-    /// a re-key (one CC stream pass per direction, plus the IC rebuild on
-    /// an integrity region) and returns its cycles; the caller rebuilds
-    /// the tree.
+    /// stack chunk at a time ([`Region::cipher_in_place`]): decrypt
+    /// under the old key, re-encrypt under the new one, each block under
+    /// its own address and time-stamp. Charges and counts a re-key (one
+    /// CC stream pass per direction, plus the IC rebuild on an integrity
+    /// region) and returns its cycles; the caller rebuilds the tree.
     fn recipher(&mut self, ddr: &mut ExternalDdr, idx: usize, new_key: [u8; 16]) -> u64 {
         let region = &mut self.regions[idx];
         let old_cipher = region.cipher.as_ref().expect("ciphered region has a key");
         let new_cipher = MemoryCipher::new(&new_key);
-        let dev_off = region.base - self.ddr_base;
-        for (i, &ts) in region.timestamps.tags().iter().enumerate() {
-            let off = i as u32 * PROTECTION_BLOCK;
-            let bus_addr = u64::from(region.base + off);
-            let mut block: [u8; 16] = ddr
-                .snoop(dev_off + off, PROTECTION_BLOCK)
-                .try_into()
-                .expect("16-byte block");
-            old_cipher.apply(bus_addr, ts, &mut block); // decrypt
-            new_cipher.apply(bus_addr, ts, &mut block); // re-encrypt
-            ddr.tamper(dev_off + off, &block);
-        }
+        region.cipher_in_place(ddr, self.ddr_base, Some(old_cipher), &new_cipher);
         region.cipher = Some(new_cipher);
         let bits = u64::from(region.len) * 8;
         let mut cycles = 2 * self.timing.cc_stream_cycles(bits);

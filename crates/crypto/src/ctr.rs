@@ -115,26 +115,51 @@ impl MemoryCipher {
     /// contract — is this routine plus the length assertion, so for
     /// multiple-of-16 lengths the two are byte-identical.
     pub fn xor_keystream(&self, addr: u64, timestamp: u64, buf: &mut [u8]) {
+        self.xor_batched(addr, buf, |_| timestamp);
+    }
+
+    /// Encrypt or decrypt (XOR is symmetric) `buf` in place, block `j`
+    /// under its own tweak `(addr / 16 + j, tags[j])`: the keystream of
+    /// a run of blocks whose time-stamps differ, as a region's blocks
+    /// do once written. Byte-identical to [`apply`](Self::apply) on
+    /// each block with its own tag, but the blocks share the batched
+    /// pass, so a re-key keeps every AES-NI lane busy.
+    ///
+    /// # Panics
+    /// Panics unless `addr` is 16-byte aligned and `buf` holds exactly
+    /// one 16-byte block per tag.
+    pub fn apply_tagged(&self, addr: u64, tags: &[u64], buf: &mut [u8]) {
+        assert_eq!(
+            buf.len(),
+            tags.len() * BLOCK_BYTES,
+            "one time-stamp per 16-byte block"
+        );
+        self.xor_batched(addr, buf, |j| tags[j]);
+    }
+
+    /// The burst path behind [`xor_keystream`](Self::xor_keystream) and
+    /// [`apply_tagged`](Self::apply_tagged): fill a batch of counter
+    /// inputs, block `j` of `buf` as `(addr / 16 + j, tag(j))`, cipher
+    /// them in one [`Aes128::encrypt_blocks`] pass (key-schedule reuse,
+    /// multi-lane AES-NI when available), then XOR. The counter is a
+    /// full 64-bit block index — carries across any 32-bit word
+    /// boundary are native `u64` arithmetic, and the batched AES is
+    /// plain ECB over these serialized counters, so per-block and
+    /// batched paths cannot diverge at a wrap. Stack buffer — the hot
+    /// path never allocates.
+    fn xor_batched(&self, addr: u64, buf: &mut [u8], tag: impl Fn(usize) -> u64) {
         assert!(
             addr.is_multiple_of(BLOCK_BYTES as u64),
             "cipher address must be 16-byte aligned"
         );
-        // Burst path: fill a batch of counter inputs and cipher them in
-        // one [`Aes128::encrypt_blocks`] pass (key-schedule reuse,
-        // multi-lane AES-NI when available), then XOR. The counter is a
-        // full 64-bit block index — carries across any 32-bit word
-        // boundary are native `u64` arithmetic, and the batched AES is
-        // plain ECB over these serialized counters, so per-block and
-        // batched paths cannot diverge at a wrap. Stack buffer — the
-        // hot path never allocates.
         let mut ks = [0u8; KEYSTREAM_BATCH * BLOCK_BYTES];
-        let mut block = addr / BLOCK_BYTES as u64;
-        for batch in buf.chunks_mut(KEYSTREAM_BATCH * BLOCK_BYTES) {
+        let first = addr / BLOCK_BYTES as u64;
+        for (n, batch) in buf.chunks_mut(KEYSTREAM_BATCH * BLOCK_BYTES).enumerate() {
             let ks = &mut ks[..batch.len().div_ceil(BLOCK_BYTES) * BLOCK_BYTES];
-            for input in ks.chunks_exact_mut(BLOCK_BYTES) {
-                input[..8].copy_from_slice(&block.to_be_bytes());
-                input[8..].copy_from_slice(&timestamp.to_be_bytes());
-                block += 1;
+            for (i, input) in ks.chunks_exact_mut(BLOCK_BYTES).enumerate() {
+                let j = n * KEYSTREAM_BATCH + i;
+                input[..8].copy_from_slice(&(first + j as u64).to_be_bytes());
+                input[8..].copy_from_slice(&tag(j).to_be_bytes());
             }
             self.aes.encrypt_blocks(ks);
             for (b, k) in batch.iter_mut().zip(ks.iter()) {
@@ -310,6 +335,36 @@ mod tests {
             c.xor_keystream(0x8000, 3, &mut tail);
             assert!(tail.iter().all(|&b| b == 0), "len {len} roundtrip");
         }
+    }
+
+    /// The multi-tweak keystream equals the single-block reference on
+    /// every block, each under its own tag, on both backends and for
+    /// runs below, at and across the keystream batch.
+    #[test]
+    fn tagged_runs_match_per_block_under_each_tag() {
+        for backend in [CryptoBackend::Soft, CryptoBackend::Accel] {
+            let c = MemoryCipher::with_backend(&KEY, backend);
+            for blocks in [1usize, 2, 8, 15, 16, 17, 33, 64] {
+                let tags: Vec<u64> = (0..blocks as u64).map(|j| j * j % 7).collect();
+                let mut run = vec![0x96u8; BLOCK_BYTES * blocks];
+                c.apply_tagged(0x3_0000, &tags, &mut run);
+                for (j, &tag) in tags.iter().enumerate() {
+                    let addr = 0x3_0000 + (BLOCK_BYTES * j) as u64;
+                    assert_eq!(
+                        &run[BLOCK_BYTES * j..BLOCK_BYTES * (j + 1)],
+                        &c.seal_block(addr, tag, &[0x96; 16]),
+                        "{} backend, block {j} of {blocks}",
+                        c.backend().name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one time-stamp per 16-byte block")]
+    fn tagged_run_needs_one_tag_per_block() {
+        MemoryCipher::new(&KEY).apply_tagged(0x1000, &[0; 2], &mut [0; 16]);
     }
 
     #[test]

@@ -28,8 +28,15 @@
 //! always-available fallback (and the reference the accelerated paths
 //! are tested bit-identical against). Set `SECBUS_CRYPTO_BACKEND=soft`
 //! (or `accel`) to override the probe, the same pattern as
-//! `SECBUS_SIM_CORE`. The crate starts no threads: a tree builds on the
-//! caller's thread, leaf by leaf and then level by level.
+//! `SECBUS_SIM_CORE`.
+//!
+//! Bulk work is batched so the hardware stays busy. A tree build
+//! hashes two leaves, or two sibling nodes, per compression call, and
+//! SHA-NI interleaves the two streams ([`sha256_pair_with`] is the
+//! public seam). A run of blocks with different time-stamps is ciphered
+//! in one keystream pass ([`MemoryCipher::apply_tagged`]), eight AES-NI
+//! lanes at a time. The crate starts no threads: a tree builds on the
+//! caller's thread, leaf level first and then level by level.
 
 pub mod aes;
 pub mod backend;
@@ -48,7 +55,7 @@ pub use journal::{
 };
 pub use kdf::{derive_key_set, derive_region_key};
 pub use merkle::{CachedVerify, MerkleTree, NodeCache};
-pub use sha256::{sha256, sha256_with, Sha256};
+pub use sha256::{sha256, sha256_pair_with, sha256_with, Sha256};
 pub use timestamp::TimestampTable;
 
 /// Deterministic randomness for this crate's randomized tests (the crate

@@ -10,6 +10,12 @@
 //! Leaf and interior hashes are domain-separated (`0x00` / `0x01` prefixes)
 //! so an attacker cannot pass an interior node off as a leaf.
 //!
+//! Every preimage the tree hashes is short and laid out on the stack
+//! with its padding: a leaf over a 16-byte block is one SHA-256 block,
+//! an interior node two. A build hashes them in pairs, two leaves or
+//! two sibling nodes per compression call, so the SHA-NI backend
+//! interleaves two independent streams.
+//!
 //! ## Cached verification
 //!
 //! The AEGIS observation: an interior node whose value is held in trusted
@@ -22,6 +28,7 @@
 //! *verdicts* — which is what lets the Integrity Core's timing model claim
 //! the savings without perturbing a single alert.
 
+use crate::ctr::BLOCK_BYTES;
 use crate::sha256::{sha256, Digest, Sha256};
 
 /// A bounded, deterministically-evicted cache of trusted interior nodes.
@@ -132,28 +139,98 @@ const LEAF_TAG: u8 = 0x00;
 /// Domain-separation prefix for interior-node hashes.
 const NODE_TAG: u8 = 0x01;
 
+/// Bytes of a leaf preimage ahead of the data: tag, index, time-stamp.
+const LEAF_HEADER: usize = 17;
+/// A leaf preimage over one 16-byte block: one padded SHA-256 block.
+const BLOCK_LEAF: usize = LEAF_HEADER + BLOCK_BYTES;
+/// An interior-node preimage: two padded SHA-256 blocks.
+const NODE: usize = 1 + 2 * 32;
+/// Preimages shorter than this fit one stack tail with their padding.
+const STACK_PREIMAGE: usize = 120;
+
+/// The leaf preimage `LEAF_TAG ‖ index ‖ timestamp ‖ data` at the front
+/// of a zeroed stack tail, ready for padding.
+fn leaf_preimage(block_index: u64, timestamp: u64, data: &[u8]) -> [u8; 128] {
+    let mut tail = [0u8; 128];
+    tail[0] = LEAF_TAG;
+    tail[1..9].copy_from_slice(&block_index.to_be_bytes());
+    tail[9..LEAF_HEADER].copy_from_slice(&timestamp.to_be_bytes());
+    tail[LEAF_HEADER..LEAF_HEADER + data.len()].copy_from_slice(data);
+    tail
+}
+
 /// Hash a leaf's raw block content (with its time-stamp tag) into a digest.
 ///
 /// The tag is bound into the leaf so that a replayed (old-tag) block fails
-/// verification even if the raw bytes were once genuine.
+/// verification even if the raw bytes were once genuine. A preimage that
+/// fits one stack tail (every protection block does) is padded in place
+/// and compressed in one call; longer data streams.
 pub fn leaf_digest(block_index: u64, timestamp: u64, data: &[u8]) -> Digest {
+    let n = LEAF_HEADER + data.len();
+    if n < STACK_PREIMAGE {
+        let tail = leaf_preimage(block_index, timestamp, data);
+        return Sha256::new().finish(tail, n, n as u64 * 8);
+    }
     let mut h = Sha256::new();
-    h.update(&[LEAF_TAG]);
-    h.update(&block_index.to_be_bytes());
-    h.update(&timestamp.to_be_bytes());
+    h.update(&leaf_preimage(block_index, timestamp, &[])[..LEAF_HEADER]);
     h.update(data);
     h.finalize()
 }
 
-/// Hash two children into their parent. The preimage `NODE_TAG ‖ left ‖
-/// right` is always 65 bytes, so it is laid out on the stack and its two
-/// padded blocks are compressed in one call.
+/// Leaf digests of a run of 16-byte blocks: `out[i]` is
+/// [`leaf_digest`]`(i, tags[i], block i)`. Adjacent leaves are hashed in
+/// pairs from stack preimages, two per compression call; an odd last
+/// leaf is hashed alone.
+///
+/// # Panics
+/// Panics unless `blocks` holds exactly one 16-byte block per tag and
+/// `out` one slot per tag.
+pub fn leaf_digests(blocks: &[u8], tags: &[u64], out: &mut [Digest]) {
+    assert_eq!(
+        blocks.len(),
+        tags.len() * BLOCK_BYTES,
+        "one 16-byte block per tag"
+    );
+    assert_eq!(out.len(), tags.len(), "one digest slot per tag");
+    let leaf =
+        |i: usize| leaf_preimage(i as u64, tags[i], &blocks[i * BLOCK_BYTES..][..BLOCK_BYTES]);
+    let hasher = Sha256::new();
+    let mut pairs = out.chunks_exact_mut(2);
+    for (p, pair) in (&mut pairs).enumerate() {
+        let mut tails = [leaf(2 * p), leaf(2 * p + 1)];
+        let hashers = [hasher.clone(), hasher.clone()];
+        Sha256::finish_pair(hashers, &mut tails, BLOCK_LEAF, BLOCK_LEAF as u64 * 8, pair);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = hasher.finish(leaf(tags.len() - 1), BLOCK_LEAF, BLOCK_LEAF as u64 * 8);
+    }
+}
+
+/// The node preimage `NODE_TAG ‖ left ‖ right` at the front of a zeroed
+/// stack tail, ready for padding.
+fn node_preimage(left: &Digest, right: &Digest) -> [u8; 128] {
+    let mut tail = [0u8; 128];
+    tail[0] = NODE_TAG;
+    tail[1..33].copy_from_slice(left);
+    tail[33..NODE].copy_from_slice(right);
+    tail
+}
+
+/// Hash two children into their parent. The preimage is always 65
+/// bytes, so its two padded blocks are compressed in one call.
 fn node_digest(left: &Digest, right: &Digest) -> Digest {
-    let mut blocks = [0u8; 128];
-    blocks[0] = NODE_TAG;
-    blocks[1..33].copy_from_slice(left);
-    blocks[33..65].copy_from_slice(right);
-    Sha256::new().finish(blocks, 65, 65 * 8)
+    Sha256::new().finish(node_preimage(left, right), NODE, NODE as u64 * 8)
+}
+
+/// Hash two sibling parents at once from their four children
+/// `[left0, right0, left1, right1]` into `parents`.
+fn node_digest_pair(children: &[Digest], parents: &mut [Digest]) {
+    let mut tails = [
+        node_preimage(&children[0], &children[1]),
+        node_preimage(&children[2], &children[3]),
+    ];
+    let hashers = [Sha256::new(), Sha256::new()];
+    Sha256::finish_pair(hashers, &mut tails, NODE, NODE as u64 * 8, parents);
 }
 
 /// The parent digest of `acc`, held at heap index `idx`, and its
@@ -178,37 +255,40 @@ pub struct MerkleTree {
 
 impl MerkleTree {
     /// Build a tree over `leaves` leaf digests (padded internally to the
-    /// next power of two with the digest of an empty leaf).
+    /// next power of two with the digest of an empty leaf), copied into
+    /// the leaf level of [`MerkleTree::from_fn`]'s node array.
     ///
     /// # Panics
     /// Panics if `initial` is empty.
     pub fn build(initial: &[Digest]) -> Self {
-        Self::from_fn(initial.len(), |i| initial[i])
+        Self::from_fn(initial.len(), |level| level.copy_from_slice(initial))
     }
 
-    /// Build a tree over `leaves` leaves whose digests `leaf(i)` returns,
-    /// called once per leaf in index order. Each digest is written
-    /// straight into the leaf level of the node array, the padding
+    /// Build a tree over `leaves` leaves whose digests `fill` writes,
+    /// straight into the leaf level of the node array (for blocks in
+    /// memory, [`leaf_digests`] hashes them there in pairs). The padding
     /// leaves up to the next power of two hold the digest of an empty
     /// leaf, and the interior levels are then hashed in place.
     ///
     /// # Panics
     /// Panics if `leaves` is zero.
-    pub fn from_fn(leaves: usize, mut leaf: impl FnMut(usize) -> Digest) -> Self {
+    pub fn from_fn(leaves: usize, fill: impl FnOnce(&mut [Digest])) -> Self {
         assert!(leaves > 0, "MerkleTree needs at least one leaf");
         let capacity = leaves.next_power_of_two();
         let mut nodes = vec![[0u8; 32]; 2 * capacity];
         let (real, pad) = nodes[capacity..].split_at_mut(leaves);
-        for (i, slot) in real.iter_mut().enumerate() {
-            *slot = leaf(i);
-        }
+        fill(real);
         pad.fill(sha256(&[LEAF_TAG]));
         // Node `i`'s children `2i` and `2i + 1` sit above it in the
-        // array, so one descending pass hashes every child before its
-        // parent.
-        for i in (1..capacity).rev() {
-            let (upper, lower) = nodes.split_at_mut(2 * i);
-            upper[i] = node_digest(&lower[0], &lower[1]);
+        // array, so a descending pass hashes every child before its
+        // parent. It hashes the siblings `(i - 1, i)` of one level
+        // together, from their four children, and the root last.
+        for i in (3..capacity).rev().step_by(2) {
+            let (upper, lower) = nodes.split_at_mut(2 * (i - 1));
+            node_digest_pair(&lower[..4], &mut upper[i - 1..]);
+        }
+        if capacity > 1 {
+            nodes[1] = node_digest(&nodes[2], &nodes[3]);
         }
         MerkleTree {
             nodes,
@@ -398,6 +478,37 @@ mod tests {
         (0..n)
             .map(|i| leaf_digest(i as u64, 0, &[i as u8; 16]))
             .collect()
+    }
+
+    /// Leaf digests are the spec's `SHA-256(0x00 ‖ index ‖ timestamp ‖
+    /// data)` at every data length, on both sides of the stack-preimage
+    /// limit, and the paired hasher gives the same leaves for even and
+    /// odd runs of 16-byte blocks.
+    #[test]
+    fn leaf_digests_match_the_spec() {
+        let data: Vec<u8> = (0..=255u8).rev().cycle().take(150).collect();
+        for len in 0..=data.len() {
+            let mut preimage = vec![LEAF_TAG];
+            preimage.extend_from_slice(&(len as u64).to_be_bytes());
+            preimage.extend_from_slice(&7u64.to_be_bytes());
+            preimage.extend_from_slice(&data[..len]);
+            assert_eq!(
+                leaf_digest(len as u64, 7, &data[..len]),
+                sha256(&preimage),
+                "{len} bytes"
+            );
+        }
+        for n in [1usize, 2, 3, 8, 9] {
+            let tags: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+            let mut out = vec![[0u8; 32]; n];
+            leaf_digests(&data[..16 * n], &tags, &mut out);
+            for (i, d) in out.iter().enumerate() {
+                assert_eq!(
+                    *d,
+                    leaf_digest(i as u64, tags[i], &data[16 * i..16 * i + 16])
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! instructions, so digests are bit-identical to the software path
 //! (the scalar `Sha256::compress` below, which stays the
 //! always-available reference).
+//!
+//! Two equal-length messages can also be hashed together
+//! ([`sha256_pair_with`], and the Merkle builder's leaf and node
+//! pairs): on SHA-NI their rounds interleave in one kernel call, on the
+//! software backend each message runs through `Sha256::compress` as
+//! usual.
 
 use crate::backend::{self, CryptoBackend};
 
@@ -116,12 +122,36 @@ impl Sha256 {
             // SAFETY: `use_shani` is only ever set from
             // `backend::effective_caps`, which requires the runtime
             // probe for sha/ssse3/sse4.1 to have passed.
-            unsafe { backend::shani::compress_blocks(&mut self.state, blocks, &K) };
+            unsafe { backend::shani::compress_blocks([&mut self.state], [blocks], &K) };
             return;
         }
         for block in blocks.chunks_exact(64) {
             self.compress(block.try_into().unwrap());
         }
+    }
+
+    /// Compress equal-length runs of whole 64-byte blocks, `runs[s]`
+    /// into `pair[s]`. When both hashers run on SHA-NI the two streams
+    /// share one interleaved kernel call; otherwise each compresses its
+    /// own run as [`compress_run`](Self::compress_run) does.
+    ///
+    /// # Panics
+    /// Panics unless the runs have the same length.
+    pub(crate) fn compress_run_pair(pair: &mut [Sha256; 2], runs: [&[u8]; 2]) {
+        assert_eq!(runs[0].len(), runs[1].len(), "paired runs differ in length");
+        debug_assert!(runs[0].len().is_multiple_of(64));
+        let [a, b] = pair;
+        #[cfg(target_arch = "x86_64")]
+        if a.use_shani && b.use_shani {
+            // SAFETY: `use_shani` is only ever set from
+            // `backend::effective_caps`, which requires the runtime
+            // probe for sha/ssse3/sse4.1 to have passed; equal lengths
+            // asserted above.
+            unsafe { backend::shani::compress_blocks([&mut a.state, &mut b.state], runs, &K) };
+            return;
+        }
+        a.compress_run(runs[0]);
+        b.compress_run(runs[1]);
     }
 
     /// Finish and produce the digest.
@@ -135,18 +165,38 @@ impl Sha256 {
 
     /// Pad the message's last `n` bytes, which sit at the front of an
     /// otherwise zero `tail`, and produce the digest of a message of
-    /// `bit_len` bits in total. The padding is written in place: `0x80`,
-    /// the zero fill, then the 64-bit big-endian length. Up to 55 tail
-    /// bytes leave room for it in one block; from 56 on it spills into a
-    /// second. Either way one [`compress_run`](Self::compress_run)
-    /// dispatch compresses everything.
+    /// `bit_len` bits in total. Up to 55 tail bytes leave room for the
+    /// padding in one block; from 56 on it spills into a second. Either
+    /// way one [`compress_run`](Self::compress_run) dispatch compresses
+    /// everything.
     pub(crate) fn finish(mut self, mut tail: [u8; 128], n: usize, bit_len: u64) -> Digest {
-        debug_assert!(n < 120 && tail[n..].iter().all(|&b| b == 0));
-        tail[n] = 0x80;
-        let len = if n < 56 { 64 } else { 128 };
-        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        let len = pad(&mut tail, n, bit_len);
         self.compress_run(&tail[..len]);
+        self.digest()
+    }
 
+    /// [`finish`](Self::finish) for two hashers whose messages have the
+    /// same tail length `n` and bit length, in one
+    /// [`compress_run_pair`](Self::compress_run_pair) dispatch. The
+    /// digests land in `out[0]` and `out[1]`, written in place rather
+    /// than returned: the Merkle builder hands in its node slots.
+    pub(crate) fn finish_pair(
+        mut pair: [Sha256; 2],
+        tails: &mut [[u8; 128]; 2],
+        n: usize,
+        bit_len: u64,
+        out: &mut [Digest],
+    ) {
+        let [a, b] = tails;
+        let len = pad(a, n, bit_len);
+        pad(b, n, bit_len);
+        Self::compress_run_pair(&mut pair, [&a[..len], &b[..len]]);
+        out[0] = pair[0].digest();
+        out[1] = pair[1].digest();
+    }
+
+    /// The big-endian digest bytes of the current state.
+    fn digest(&self) -> Digest {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -201,6 +251,17 @@ impl Sha256 {
     }
 }
 
+/// Write SHA-256 padding in place after the `n` message bytes at the
+/// front of an otherwise zero `tail`: `0x80`, the zero fill, then the
+/// 64-bit big-endian `bit_len`. Returns the padded length, 64 or 128.
+fn pad(tail: &mut [u8; 128], n: usize, bit_len: u64) -> usize {
+    debug_assert!(n < 120 && tail[n..].iter().all(|&b| b == 0));
+    tail[n] = 0x80;
+    let len = if n < 56 { 64 } else { 128 };
+    tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+    len
+}
+
 /// One-shot SHA-256 on the process-wide active backend.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -213,6 +274,29 @@ pub fn sha256_with(data: &[u8], backend: CryptoBackend) -> Digest {
     let mut h = Sha256::with_backend(backend);
     h.update(data);
     h.finalize()
+}
+
+/// One-shot SHA-256 of two equal-length messages on an explicit
+/// backend, the two compressed together (test and benchmark seam for
+/// the paired path the Merkle builder runs on). Returns the digests in
+/// input order, each identical to [`sha256_with`] of its message.
+///
+/// # Panics
+/// Panics unless the messages have the same length.
+pub fn sha256_pair_with(messages: [&[u8]; 2], backend: CryptoBackend) -> [Digest; 2] {
+    let len = messages[0].len();
+    assert_eq!(len, messages[1].len(), "paired messages differ in length");
+    let whole = len / 64 * 64;
+    let mut pair = [Sha256::with_backend(backend), Sha256::with_backend(backend)];
+    Sha256::compress_run_pair(&mut pair, messages.map(|m| &m[..whole]));
+    let mut tails = messages.map(|m| {
+        let mut tail = [0u8; 128];
+        tail[..len - whole].copy_from_slice(&m[whole..]);
+        tail
+    });
+    let mut out = [[0u8; 32]; 2];
+    Sha256::finish_pair(pair, &mut tails, len - whole, len as u64 * 8, &mut out);
+    out
 }
 
 #[cfg(test)]

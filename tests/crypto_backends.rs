@@ -3,20 +3,25 @@
 //! a caller can produce — random keys, lengths and offsets, bursts whose
 //! tail is not a multiple of 16 bytes, bursts whose block count is not a
 //! multiple of the accelerator lane width, empty input, SHA-256 streams
-//! cut on and around the 64-byte compression boundary, and the LCF's
-//! single-block cipher, seal and rekey. Golden digests pin both backends
-//! to fixed bytes as well, for the code the two backends share.
+//! cut on and around the 64-byte compression boundary, message pairs
+//! hashed together, and the LCF's single-block cipher, seal, rekey and
+//! recovery. Golden digests pin both backends to fixed bytes as well,
+//! for the code the two backends share.
 //!
 //! On hosts without AES-NI/SHA-NI the accel backend resolves to the same
 //! software path, so every assertion still holds (trivially); on hosts
 //! with the hardware this is the workspace-level proof that backend
 //! selection can never change an output byte.
 
+use secbus_bus::{MasterId, Op, Transaction, TxnId, Width};
 use secbus_core::{CryptoTiming, FirewallId, LocalCipheringFirewall};
-use secbus_crypto::merkle::leaf_digest;
+use secbus_crypto::merkle::{leaf_digest, leaf_digests};
 use secbus_crypto::sha256::Digest;
-use secbus_crypto::{sha256_with, Aes128, CryptoBackend, MemoryCipher, MerkleTree, Sha256};
+use secbus_crypto::{
+    sha256_pair_with, sha256_with, Aes128, CryptoBackend, MemoryCipher, MerkleTree, Sha256,
+};
 use secbus_mem::ExternalDdr;
+use secbus_sim::Cycle;
 use secbus_soc::casestudy::{
     lcf_policies, CIPHER_KEY, DDR_BASE, DDR_CIPHER_BASE, DDR_CIPHER_LEN, DDR_LEN, DDR_PRIVATE_BASE,
     DDR_PRIVATE_LEN, DDR_PUBLIC_BASE, PRIVATE_KEY,
@@ -203,23 +208,83 @@ fn sha256_empty_input_is_the_fips_vector_on_both_backends() {
     }
 }
 
+/// Two equal-length messages hashed together give the two digests the
+/// soft reference computes one at a time, on both backends: random
+/// pairs whose padded form is one, two or three blocks, the 33-byte
+/// leaf and 65-byte node preimages among them.
+#[test]
+fn paired_sha256_matches_two_soft_digests() {
+    let mut rng = 0x5eed_cafe_0007u64;
+    let lengths = [
+        0usize, 1, 33, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 183, 191, 192,
+    ];
+    for len in lengths {
+        for _ in 0..4 {
+            let mut a = vec![0u8; len];
+            let mut b = vec![0u8; len];
+            fill(&mut rng, &mut a);
+            fill(&mut rng, &mut b);
+            let expect = [
+                sha256_with(&a, CryptoBackend::Soft),
+                sha256_with(&b, CryptoBackend::Soft),
+            ];
+            for backend in BACKENDS {
+                assert_eq!(
+                    sha256_pair_with([&a, &b], backend),
+                    expect,
+                    "len {len} on {}",
+                    backend.name()
+                );
+            }
+        }
+    }
+    // Messages that differ only in their last byte: an implementation
+    // that swapped the two outputs fails here.
+    for len in [1usize, 33, 65, 192] {
+        let a: Vec<u8> = (0..len as u8).collect();
+        let mut b = a.clone();
+        b[len - 1] ^= 0x01;
+        let expect = [
+            sha256_with(&a, CryptoBackend::Soft),
+            sha256_with(&b, CryptoBackend::Soft),
+        ];
+        assert_ne!(expect[0], expect[1]);
+        for backend in BACKENDS {
+            assert_eq!(
+                sha256_pair_with([&a, &b], backend),
+                expect,
+                "len {len} on {}",
+                backend.name()
+            );
+        }
+    }
+}
+
 /// The tree builder, hashing on the active backend, against the
 /// level-by-level spec on the soft hash: leaf counts on both sides of
 /// a power of two catch an index or padding slip that the 2-leaf golden
-/// tree cannot, and every genuine leaf must verify.
+/// tree cannot, 4 and 5 leaves give the sibling-pair loop its smallest
+/// levels, and every genuine leaf must verify. The leaves are hashed in
+/// pairs by `leaf_digests` from random blocks under random time-stamps,
+/// and each must be the leaf the spec defines.
 #[test]
-fn merkle_roots_are_identical_for_any_backend_and_thread_count() {
+fn merkle_roots_match_the_spec_on_any_backend() {
     let mut rng = 0x5eed_cafe_0004u64;
-    for leaves in [1usize, 2, 3, 37, 1000, 1024, 1025, 16_384] {
-        let digests: Vec<Digest> = (0..leaves)
-            .map(|_| {
-                let mut block = [0u8; 64];
-                fill(&mut rng, &mut block);
-                sha256_with(&block, CryptoBackend::Accel)
-            })
-            .collect();
+    for leaves in [1usize, 2, 3, 4, 5, 37, 1000, 1024, 1025, 16_384] {
+        let mut blocks = vec![0u8; 16 * leaves];
+        fill(&mut rng, &mut blocks);
+        let tags: Vec<u64> = (0..leaves).map(|_| splitmix64(&mut rng) % 8).collect();
+        let mut digests = vec![[0u8; 32]; leaves];
+        leaf_digests(&blocks, &tags, &mut digests);
+        for (i, digest) in digests.iter().enumerate() {
+            let block = &blocks[16 * i..16 * i + 16];
+            assert_eq!(*digest, soft_leaf(i as u64, tags[i], block), "leaf {i}");
+        }
+        let root = soft_tree_root(&digests);
         let tree = MerkleTree::build(&digests);
-        assert_eq!(tree.root(), soft_tree_root(&digests), "{leaves} leaves");
+        assert_eq!(tree.root(), root, "{leaves} leaves");
+        let hashed = MerkleTree::from_fn(leaves, |level| leaf_digests(&blocks, &tags, level));
+        assert_eq!(hashed.root(), root, "{leaves} leaves hashed in place");
         for (i, digest) in digests.iter().enumerate() {
             assert!(tree.verify_leaf(i, digest), "leaf {i} of {leaves}");
         }
@@ -493,5 +558,99 @@ fn lcf_seal_and_rekey_match_the_soft_reference() {
     assert_eq!(
         verified_root(&mut lcf),
         soft_root(&ddr.contents()[private], 0)
+    );
+}
+
+/// Writes that give blocks of both ciphered regions distinct time-stamps,
+/// as (region-relative block, number of writes): 3 and 5 share one
+/// 16-block keystream batch, 15/16 and 31/32 straddle a batch edge,
+/// 63/64 straddle the re-key pass's 64-block stack chunk, and the last
+/// block ends the region.
+const TAGGED_WRITES: [(u32, u32); 9] = [
+    (3, 1),
+    (5, 3),
+    (15, 2),
+    (16, 1),
+    (31, 4),
+    (32, 2),
+    (63, 3),
+    (64, 1),
+    (16_383, 2),
+];
+
+fn word_txn(op: Op, addr: u32, data: u32) -> Transaction {
+    Transaction {
+        id: TxnId(0),
+        master: MasterId(0),
+        op,
+        addr,
+        width: Width::Word,
+        data,
+        burst: 1,
+        issued_at: Cycle(0),
+    }
+}
+
+/// A re-key and a rekeying recovery over blocks whose time-stamps
+/// differ: every block must be deciphered and re-ciphered under its own
+/// tag, not its batch neighbour's. Every word written through the LCF
+/// reads back through it afterwards (the integrity region's reads verify
+/// against the rebuilt tree), and the DDR image is the soft reference's:
+/// each block the plaintext XOR its single-block keystream under the
+/// region's final key and the block's own tag. CI runs this file on the
+/// detected backend and forced soft, so both backends pass it.
+#[test]
+fn rekey_and_recovery_keep_blocks_with_distinct_time_stamps() {
+    let (mut lcf, mut ddr) = sealed_case_study_lcf();
+    let mut plain = case_study_ddr().contents().to_vec();
+    let mut written = Vec::new();
+    let mut now = 0u64;
+    let mut value = 0x5eed_0000u32;
+    for (base, _, _) in CIPHERED {
+        for (block, writes) in TAGGED_WRITES {
+            for w in 0..writes {
+                let addr = base + 16 * block + 4 * (w % 4);
+                value = value.wrapping_mul(0x9e37_79b9).wrapping_add(0x7f4a_7c15);
+                lcf.handle(&mut ddr, &word_txn(Op::Write, addr, value), Cycle(now))
+                    .expect("the case-study LCF lets any master write its ciphered regions");
+                let off = (addr - DDR_BASE) as usize;
+                plain[off..off + 4].copy_from_slice(&value.to_le_bytes());
+                written.push((addr, value));
+                now += 100;
+            }
+        }
+    }
+
+    lcf.rekey(&mut ddr, DDR_CIPHER_BASE, *b"interim-cip-key!")
+        .expect("ciphered region");
+    let mut keys = CIPHERED.map(|c| c.2).into_iter();
+    lcf.recover_regions(&mut ddr, || keys.next());
+    assert!(keys.next().is_none(), "one key per ciphered region");
+
+    for &(addr, value) in &written {
+        let read = lcf
+            .handle(&mut ddr, &word_txn(Op::Read, addr, 0), Cycle(now))
+            .unwrap_or_else(|(v, _)| panic!("read of {addr:#x} refused: {v:?}"));
+        assert_eq!(read.data, value, "word at {addr:#x}");
+    }
+
+    let mut expected = plain;
+    for (base, len, key) in CIPHERED {
+        let cipher = MemoryCipher::with_backend(&key, CryptoBackend::Soft);
+        let off = (base - DDR_BASE) as usize;
+        for (i, block) in expected[off..off + len as usize]
+            .chunks_exact_mut(16)
+            .enumerate()
+        {
+            let tag = TAGGED_WRITES
+                .iter()
+                .find(|&&(b, _)| b as usize == i)
+                .map_or(0, |&(_, writes)| u64::from(writes));
+            cipher.apply(u64::from(base) + 16 * i as u64, tag, block);
+        }
+    }
+    assert!(
+        ddr.contents() == &expected[..],
+        "DDR image differs from the soft reference"
     );
 }
