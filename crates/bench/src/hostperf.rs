@@ -18,12 +18,14 @@
 //!
 //! Timing discipline follows [`crate::perf::compare_cc`] and shares its
 //! clock: process CPU time where available (immune to preemption), wall
-//! clock as the fallback, all paths timed back-to-back in paired rounds
-//! with the median round (by the headline accel-vs-per-block ratio)
-//! reported, so slow frequency drift cancels out of every ratio. Each
-//! cipher and hash path gets its own rep count so that even the
-//! multi-GB/s windows stay long enough for the 100 Hz CPU clock; the
-//! Merkle builds repeat for 100 ticks of the wall clock.
+//! clock as the fallback, all paths timed back-to-back in paired rounds.
+//! The cipher and hash windows are reported from the median round (by
+//! the headline accel-vs-per-block ratio), so slow frequency drift
+//! cancels out of every ratio; the Merkle build, which no ratio reads, is
+//! the median of the rounds' own build times. Each cipher and hash path
+//! gets its own rep count so that even the multi-GB/s windows stay long
+//! enough for the 100 Hz CPU clock; the Merkle builds repeat for 100
+//! ticks of the wall clock.
 
 use std::time::{Duration, Instant};
 
@@ -53,7 +55,7 @@ pub struct HostWorkload {
     pub sha_accel_bytes: usize,
     /// Leaves in the timed Merkle build.
     pub merkle_leaves: usize,
-    /// Paired timing rounds (the median round is reported).
+    /// Paired timing rounds (medians are reported).
     pub rounds: usize,
 }
 
@@ -127,7 +129,8 @@ pub struct HostPerf {
     pub sha_accel: Throughput,
     /// Leaves in the timed Merkle build.
     pub merkle_leaves: usize,
-    /// One tree build ([`MerkleTree::build`]), nanoseconds.
+    /// One tree build ([`MerkleTree::build`]), nanoseconds: the median
+    /// over the rounds.
     pub merkle_build_ns: u64,
     /// Every optimized path matched its reference byte-for-byte:
     /// soft/accel ciphertext and soft/accel digests.
@@ -150,6 +153,38 @@ impl HostPerf {
     /// Accel SHA-256 over soft SHA-256.
     pub fn sha_speedup(&self) -> f64 {
         self.sha_accel.gbps() / self.sha_soft.gbps().max(f64::MIN_POSITIVE)
+    }
+}
+
+/// One paired timing round: every path timed back-to-back, host
+/// nanoseconds per window (`build_ns` is per build).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Round {
+    per_block_ns: u64,
+    soft_ns: u64,
+    accel_ns: u64,
+    sha_soft_ns: u64,
+    sha_accel_ns: u64,
+    build_ns: u64,
+}
+
+/// The round to report from non-empty `rounds`: the cipher and hash
+/// windows of the round that is median by the headline ratio, and the
+/// median of every round's own Merkle build time.
+fn select_round(mut rounds: Vec<Round>) -> Round {
+    let mut builds: Vec<u64> = rounds.iter().map(|r| r.build_ns).collect();
+    builds.sort_unstable();
+    // Median by (per-block ns/byte) / (accel ns/byte): every round moves
+    // the same bytes, so the windows cross-multiply in integers.
+    // Tie-break by accel window length for determinism.
+    rounds.sort_by(|a, b| {
+        (u128::from(a.per_block_ns) * u128::from(b.accel_ns))
+            .cmp(&(u128::from(b.per_block_ns) * u128::from(a.accel_ns)))
+            .then(a.accel_ns.cmp(&b.accel_ns))
+    });
+    Round {
+        build_ns: builds[builds.len() / 2],
+        ..rounds[rounds.len() / 2]
     }
 }
 
@@ -186,17 +221,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
     let reps = |total: usize| (total / w.burst_bytes).max(1) as u32;
     let mut buf = vec![0xa5u8; w.burst_bytes];
 
-    // Paired rounds: every path timed back-to-back, median round by the
-    // headline ratio.
-    struct Round {
-        per_block_ns: u64,
-        soft_ns: u64,
-        accel_ns: u64,
-        sha_soft_ns: u64,
-        sha_accel_ns: u64,
-        build_ns: u64,
-    }
-    let mut rounds: Vec<Round> = (0..w.rounds.max(1))
+    let rounds: Vec<Round> = (0..w.rounds.max(1))
         .map(|_| {
             let per_block_ns = timed(&mut || {
                 for _ in 0..reps(w.ctr_per_block_bytes) {
@@ -247,22 +272,13 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
             }
         })
         .collect();
-    // Median by (per-block ns/byte) / (accel ns/byte), cross-multiplied
-    // in integers. Tie-break by accel window length for determinism.
-    let pb_bytes = u64::from(reps(w.ctr_per_block_bytes)) * w.burst_bytes as u64;
-    let ac_bytes = u64::from(reps(w.ctr_accel_bytes)) * w.burst_bytes as u64;
-    rounds.sort_by(|a, b| {
-        (u128::from(a.per_block_ns) * u128::from(b.accel_ns))
-            .cmp(&(u128::from(b.per_block_ns) * u128::from(a.accel_ns)))
-            .then(a.accel_ns.cmp(&b.accel_ns))
-    });
-    let r = &rounds[rounds.len() / 2];
+    let r = select_round(rounds);
 
     HostPerf {
         aesni: caps.aesni,
         shani: caps.shani,
         ctr_per_block_soft: Throughput {
-            bytes: pb_bytes,
+            bytes: u64::from(reps(w.ctr_per_block_bytes)) * w.burst_bytes as u64,
             ns: r.per_block_ns,
         },
         ctr_batched_soft: Throughput {
@@ -270,7 +286,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
             ns: r.soft_ns,
         },
         ctr_batched_accel: Throughput {
-            bytes: ac_bytes,
+            bytes: u64::from(reps(w.ctr_accel_bytes)) * w.burst_bytes as u64,
             ns: r.accel_ns,
         },
         sha_soft: Throughput {
@@ -315,6 +331,38 @@ mod tests {
         let caps = host_caps();
         assert_eq!(p.aesni, caps.aesni);
         assert_eq!(p.shani, caps.shani);
+    }
+
+    /// The Merkle figure is the median of the rounds' own build times,
+    /// not the build time of the round that is median by the CTR ratio.
+    #[test]
+    fn merkle_build_is_the_median_build_not_the_ctr_median_rounds() {
+        let round = |per_block_ns, accel_ns, build_ns| Round {
+            per_block_ns,
+            soft_ns: 10 * per_block_ns,
+            accel_ns,
+            sha_soft_ns: 20 * per_block_ns,
+            sha_accel_ns: 30 * per_block_ns,
+            build_ns,
+        };
+        // CTR ratios 2, 4 and 3: the third round is the median by ratio,
+        // and it has the largest build time.
+        let median = round(3_000, 1_000, 9_000);
+        let rounds = vec![
+            round(2_000, 1_000, 5_000),
+            round(4_000, 1_000, 7_000),
+            median,
+        ];
+        let r = select_round(rounds);
+        assert_eq!(r.build_ns, 7_000, "the median build time");
+        assert_eq!(
+            Round {
+                build_ns: median.build_ns,
+                ..r
+            },
+            median,
+            "every other window from the CTR-median round"
+        );
     }
 
     #[test]

@@ -211,6 +211,7 @@ impl SharedBus {
     }
 
     /// Enqueue a request from `master`; returns the assigned transaction id.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn issue(
         &mut self,
@@ -234,6 +235,7 @@ impl SharedBus {
     /// their own admission control must either size
     /// [`BusConfig::master_queue_capacity`] for their worst case or use
     /// [`SharedBus::try_issue_at`] and shed on `None`.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn issue_at(
         &mut self,
@@ -257,6 +259,7 @@ impl SharedBus {
     /// the master's bounded request queue is full. The caller owns the
     /// refusal — the SoC's port adapters turn it into a typed
     /// `Violation::Shed` alert so no transaction is ever silently lost.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn try_issue_at(
         &mut self,
@@ -293,6 +296,7 @@ impl SharedBus {
     }
 
     /// Free request-queue slots left before `master` hits its bound.
+    #[inline]
     pub fn master_queue_free(&self, master: MasterId) -> usize {
         self.config
             .master_queue_capacity
@@ -301,6 +305,7 @@ impl SharedBus {
 
     /// Total requests queued across every master — the fabric-pressure
     /// signal the SecurityMonitor's overload hysteresis watches.
+    #[inline]
     pub fn total_pending_requests(&self) -> usize {
         self.masters.iter().map(|m| m.requests.len()).sum()
     }
@@ -308,6 +313,7 @@ impl SharedBus {
     /// Allocate a transaction id from the bus id space without queueing
     /// anything (used for firewall-synthesized discard responses, so that
     /// ids stay unique across real and synthetic completions).
+    #[inline]
     pub fn alloc_txn_id(&mut self) -> TxnId {
         let id = TxnId(self.next_id);
         self.next_id += 1;
@@ -315,6 +321,7 @@ impl SharedBus {
     }
 
     /// Pop the next completed response for `master`, if any.
+    #[inline]
     pub fn poll_response(&mut self, master: MasterId) -> Option<Response> {
         self.masters[master.0 as usize].responses.pop_front()
     }
@@ -325,11 +332,13 @@ impl SharedBus {
     }
 
     /// Pop the next transaction delivered to `slave`, if any.
+    #[inline]
     pub fn slave_pop(&mut self, slave: SlaveId) -> Option<Transaction> {
         self.slaves[slave.0 as usize].inbox.pop_front()
     }
 
     /// Peek at the next transaction delivered to `slave` without removing it.
+    #[inline]
     pub fn slave_peek(&self, slave: SlaveId) -> Option<&Transaction> {
         self.slaves[slave.0 as usize].inbox.front()
     }
@@ -343,6 +352,7 @@ impl SharedBus {
     /// instead of being routed (or panicking): an impersonation campaign
     /// can legitimately provoke this, and the safe outcome is that the
     /// data reaches nobody.
+    #[inline]
     pub fn slave_complete(&mut self, slave: SlaveId, response: Response) {
         match self.take_inflight(response.txn) {
             Some(master) => {
@@ -361,6 +371,7 @@ impl SharedBus {
     }
 
     /// Take the orphaned completions dropped since the last drain.
+    #[inline]
     pub fn drain_orphans(&mut self) -> Vec<OrphanCompletion> {
         std::mem::take(&mut self.orphans)
     }
@@ -532,6 +543,7 @@ impl SharedBus {
     /// Relies on the [`Arbiter`] contract that `grant` is pure when
     /// the requesting set is empty (all in-tree arbiters are; see
     /// DESIGN.md §12).
+    #[inline]
     pub fn quiescence(&self, now: Cycle) -> BusQuiet {
         if self.slaves.iter().any(|s| !s.outbox.is_empty()) {
             return BusQuiet::Active;
@@ -559,6 +571,7 @@ impl SharedBus {
     /// skipped tick calls at cycles `from..to` (exclusive of `to`,
     /// which is ticked normally). Byte-identical to the per-cycle
     /// `bus.busy_cycles` increments the stepped core performs.
+    #[inline]
     pub fn fast_forward(&mut self, from: Cycle, to: Cycle) {
         let busy = to.get().min(self.busy_until).saturating_sub(from.get());
         if busy > 0 {
@@ -568,11 +581,13 @@ impl SharedBus {
 
     /// Whether any master has undelivered responses queued (the SoC's
     /// response-routing step has work to do).
+    #[inline]
     pub fn has_queued_responses(&self) -> bool {
         self.masters.iter().any(|m| !m.responses.is_empty())
     }
 
     /// Whether orphan completions await [`SharedBus::drain_orphans`].
+    #[inline]
     pub fn has_orphans(&self) -> bool {
         !self.orphans.is_empty()
     }

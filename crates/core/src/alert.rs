@@ -133,6 +133,10 @@ pub struct SecurityMonitor {
     /// Watched transactions: (deadline, txn, issuing firewall), insertion
     /// order preserved so expiries drain deterministically.
     watched: Vec<(Cycle, Transaction, Option<FirewallId>)>,
+    /// No watched deadline lies below this cycle: `watch` lowers it, and
+    /// an `expire` that scans resets it to the exact minimum, so the
+    /// per-tick expiry check is one compare until a deadline may be due.
+    watch_floor: Cycle,
 }
 
 impl SecurityMonitor {
@@ -150,6 +154,7 @@ impl SecurityMonitor {
             quarantine_cycles: None,
             watchdog_timeout: None,
             watched: Vec::new(),
+            watch_floor: Cycle(u64::MAX),
         }
     }
 
@@ -187,19 +192,23 @@ impl SecurityMonitor {
     /// *re-arms* it (the retry path re-issues the same `TxnId`); keeping
     /// both entries would leave an orphan that `resolve` never clears and
     /// that later fires a spurious `WatchdogTimeout`.
+    #[inline]
     pub fn watch(&mut self, txn: &Transaction, firewall: Option<FirewallId>, now: Cycle) {
         if let Some(timeout) = self.watchdog_timeout {
-            let entry = (now + timeout, *txn, firewall);
+            let deadline = now + timeout;
+            let entry = (deadline, *txn, firewall);
             match self.watched.iter().position(|(_, t, _)| t.id == txn.id) {
                 Some(idx) => self.watched[idx] = entry,
                 None => self.watched.push(entry),
             }
+            self.watch_floor = self.watch_floor.min(deadline);
         }
     }
 
     /// A watched transaction completed (successfully or not); stop its
     /// timer. Unknown ids are ignored (e.g. discards that were never
     /// watched).
+    #[inline]
     pub fn resolve(&mut self, txn: TxnId) {
         if let Some(idx) = self.watched.iter().position(|(_, t, _)| t.id == txn) {
             self.watched.remove(idx);
@@ -209,27 +218,32 @@ impl SecurityMonitor {
     /// Expire every watched transaction whose deadline has passed, in
     /// watch order. The caller turns each expiry into a cancellation plus
     /// a [`Violation::WatchdogTimeout`] alert.
+    #[inline]
     pub fn expire(&mut self, now: Cycle) -> Vec<WatchdogExpiry> {
-        // Nothing due (every tick of a healthy run): no allocation, and
-        // the watch list is left untouched.
-        if !self.watched.iter().any(|&(deadline, _, _)| deadline <= now) {
+        // Nothing due (every tick of a healthy run): one compare, no
+        // allocation, and the watch list is left untouched.
+        if now < self.watch_floor {
             return Vec::new();
         }
         let mut expired = Vec::new();
+        let mut floor = Cycle(u64::MAX);
         self.watched.retain(|&(deadline, txn, firewall)| {
             if deadline <= now {
                 expired.push(WatchdogExpiry { txn, firewall });
                 false
             } else {
+                floor = floor.min(deadline);
                 true
             }
         });
-        // Only reached when something expired: writing the slot, even
-        // with 0, makes the key visible, and materializing it on every
-        // watchdog-armed tick would make otherwise-identical metrics
-        // snapshots differ by key set.
-        self.stats
-            .add_slot(MonitorCounter::WatchdogTimeouts, expired.len() as u64);
+        self.watch_floor = floor;
+        // Writing the slot, even with 0, makes the key visible, and
+        // materializing it on a scan that expired nothing would make
+        // otherwise-identical metrics snapshots differ by key set.
+        if !expired.is_empty() {
+            self.stats
+                .add_slot(MonitorCounter::WatchdogTimeouts, expired.len() as u64);
+        }
         expired
     }
 
@@ -241,6 +255,7 @@ impl SecurityMonitor {
     /// Earliest watchdog deadline, if any transaction is watched. The
     /// event-driven core must not fast-forward past it: `expire` fires
     /// (and alerts) exactly at the deadline cycle.
+    #[inline]
     pub fn next_watchdog_deadline(&self) -> Option<Cycle> {
         self.watched.iter().map(|&(deadline, _, _)| deadline).min()
     }
@@ -628,6 +643,56 @@ mod tests {
             "no orphan fires after resolve"
         );
         assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 0);
+    }
+
+    /// Resolving the earliest-deadline watch leaves the expiry floor
+    /// below every remaining deadline: the scan it triggers finds
+    /// nothing, and the later watch still fires on its own cycle.
+    #[test]
+    fn resolving_the_earliest_watch_keeps_the_later_deadline() {
+        let mut m = SecurityMonitor::new(0).with_watchdog(50);
+        let a = alert(0, Violation::NoPolicy, 0).txn;
+        let b = Transaction { id: TxnId(1), ..a };
+        m.watch(&a, None, Cycle(0)); // deadline 50
+        m.watch(&b, None, Cycle(20)); // deadline 70
+        m.resolve(a.id);
+        assert_eq!(
+            m.next_watchdog_deadline(),
+            Some(Cycle(70)),
+            "exact, not the floor"
+        );
+        for now in 0..70 {
+            assert!(m.expire(Cycle(now)).is_empty(), "nothing due at {now}");
+        }
+        assert!(
+            m.stats()
+                .counters()
+                .all(|(k, _)| k != "monitor.watchdog_timeouts"),
+            "the stale-floor scan materialized no key"
+        );
+        let expired = m.expire(Cycle(70));
+        assert_eq!(expired.len(), 1);
+        assert_eq!(expired[0].txn.id, b.id);
+        assert_eq!(m.watched_count(), 0);
+    }
+
+    /// A re-armed watch keeps its slot in watch order and fires only at
+    /// its new deadline; two watches due on one tick expire in watch
+    /// order.
+    #[test]
+    fn rearmed_watch_fires_once_in_watch_order() {
+        let mut m = SecurityMonitor::new(0).with_watchdog(50);
+        let a = alert(0, Violation::NoPolicy, 0).txn;
+        let b = Transaction { id: TxnId(1), ..a };
+        m.watch(&a, None, Cycle(0)); // deadline 50
+        m.watch(&b, None, Cycle(30)); // deadline 80
+        m.watch(&a, None, Cycle(30)); // re-armed to 80
+        for now in 0..80 {
+            assert!(m.expire(Cycle(now)).is_empty(), "nothing due at {now}");
+        }
+        let ids: Vec<TxnId> = m.expire(Cycle(80)).iter().map(|e| e.txn.id).collect();
+        assert_eq!(ids, vec![a.id, b.id]);
+        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 2);
     }
 
     /// Regression (snapshot determinism): an empty expiry sweep must not

@@ -207,6 +207,7 @@ impl LocalFirewall {
     }
 
     /// This firewall's identifier.
+    #[inline]
     pub fn id(&self) -> FirewallId {
         self.id
     }
@@ -321,6 +322,7 @@ impl LocalFirewall {
     /// Raise an alert without discarding anything: informational events
     /// (parity repairs, watchdog cancellations, degraded serves) that must
     /// reach the monitor's audit trail but are not themselves discards.
+    #[inline]
     pub fn raise_alert(&mut self, txn: &Transaction, v: Violation, now: Cycle) {
         self.stats.incr_slot(FwCounter::violation(v));
         if let Some(t) = &self.tracer {
@@ -365,6 +367,7 @@ impl LocalFirewall {
     /// Move the alerts raised since the last drain onto the end of `out`,
     /// in raise order. Both buffers keep their capacity, so a per-cycle
     /// drain into a reused buffer does not allocate.
+    #[inline]
     pub fn drain_alerts_into(&mut self, out: &mut Vec<Alert>) {
         out.append(&mut self.pending_alerts);
     }
@@ -372,6 +375,7 @@ impl LocalFirewall {
     /// Whether alerts are waiting to be drained (event-core skip check;
     /// queues are empty between ticks, but the invariant is verified
     /// rather than assumed).
+    #[inline]
     pub fn has_pending_alerts(&self) -> bool {
         !self.pending_alerts.is_empty()
     }

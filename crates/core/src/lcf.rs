@@ -446,6 +446,7 @@ impl LocalCipheringFirewall {
     }
 
     /// Whether a torn burst killed this boot (power died mid-write).
+    #[inline]
     pub fn crashed(&self) -> bool {
         self.crashed
     }
@@ -1271,11 +1272,13 @@ impl LocalCipheringFirewall {
     }
 
     /// The embedded Local Firewall (policy table, id, block state).
+    #[inline]
     pub fn firewall(&self) -> &LocalFirewall {
         &self.fw
     }
 
     /// Mutable access to the embedded firewall (reconfiguration, blocking).
+    #[inline]
     pub fn firewall_mut(&mut self) -> &mut LocalFirewall {
         &mut self.fw
     }

@@ -153,6 +153,7 @@ impl ReconfigController {
     /// epoch's contents cannot depend on who called
     /// [`ReconfigController::schedule`] first. The caller applies each
     /// with [`ReconfigController::apply_to`].
+    #[inline]
     pub fn take_ready(&mut self, now: Cycle) -> Vec<PolicyUpdate> {
         // Nothing due (every tick outside a swap): no allocation, and the
         // queue is left untouched.
@@ -180,6 +181,7 @@ impl ReconfigController {
 
     /// Earliest `ready_at` among still-quiescing updates, if any — the
     /// event-driven core's wake point for epoch swaps.
+    #[inline]
     pub fn next_ready(&self) -> Option<Cycle> {
         self.queue.iter().map(|&(at, _, _)| at).min()
     }

@@ -162,6 +162,7 @@ impl ExternalDdr {
     }
 
     /// Stores torn so far (fired tears, via either path).
+    #[inline]
     pub fn torn_stores(&self) -> u64 {
         self.torn_stores
     }

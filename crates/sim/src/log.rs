@@ -36,6 +36,7 @@ impl<T> EventLog<T> {
     }
 
     /// Append an event at time `at`.
+    #[inline]
     pub fn push(&mut self, at: Cycle, event: T) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();

@@ -382,6 +382,7 @@ impl SocBuilder {
                 };
                 MasterSlot {
                     bus_id,
+                    halted: device.halted(),
                     device: Some(device),
                     firewall,
                     inflight: InFlightTable::default(),
@@ -529,10 +530,7 @@ impl SocBuilder {
             reconfig.resume_epoch(cp.policy_epoch);
         }
 
-        let halted_masters = masters
-            .iter()
-            .filter(|m| m.device.as_ref().is_some_and(|d| d.halted()))
-            .count();
+        let halted_masters = masters.iter().filter(|m| m.halted).count();
 
         Ok(Soc {
             now: Cycle::ZERO,
@@ -559,6 +557,7 @@ impl SocBuilder {
             degrade: self.degrade.map(Hysteresis::new),
             core: SimCore::from_env(),
             halted_masters,
+            wake_hint: 0,
             ticks_executed: 0,
         })
     }
@@ -596,6 +595,10 @@ pub(crate) enum SlaveKind {
 pub(crate) struct MasterSlot {
     pub(crate) bus_id: MasterId,
     device: Option<Box<dyn BusMaster>>,
+    /// What the device's `halted()` returned after its last tick (or at
+    /// build): the device changes only inside a tick, so the next tick
+    /// compares against this instead of asking again before it.
+    halted: bool,
     pub(crate) firewall: Option<LocalFirewall>,
     /// Transactions on the bus whose response needs a verdict stamp, the
     /// inbound read check, or the watchdog/retry path.
@@ -772,6 +775,13 @@ impl PortAdapter<'_> {
             t.record(self.now, event);
         }
     }
+}
+
+/// Fold one declared wake `at` into the running minimum `next`; a wake
+/// at or before `now` means its component is due this cycle (`None`).
+#[inline]
+fn fold_wake(now: Cycle, next: Cycle, at: Cycle) -> Option<Cycle> {
+    (at > now).then_some(next.min(at))
 }
 
 /// Byte span of one access: width × burst beats.
@@ -978,6 +988,9 @@ pub struct Soc {
     /// in the device-tick step so `run_until_halt` checks O(1) instead
     /// of re-polling every master every cycle.
     halted_masters: usize,
+    /// The master that ended the last skip search as due, which the next
+    /// search asks first (see [`Soc::next_wake_cycle`]).
+    wake_hint: usize,
     /// Ticks actually executed (events, on the event core). A plain
     /// field, deliberately outside [`Stats`]: the metrics snapshot must
     /// stay byte-identical between cores, and this counter is the one
@@ -1072,7 +1085,6 @@ impl Soc {
                 self.stats.incr("soc.invariant.device_missing");
                 continue;
             };
-            let was_halted = device.halted();
             {
                 let mut port = PortAdapter {
                     bus: &mut self.bus,
@@ -1092,9 +1104,10 @@ impl Soc {
             }
             // Maintain the halted census on transition (run_until_halt
             // checks a counter instead of re-polling every master).
-            let is_halted = device.halted();
-            if is_halted != was_halted {
-                if is_halted {
+            let halted = device.halted();
+            if halted != slot.halted {
+                slot.halted = halted;
+                if halted {
                     self.halted_masters += 1;
                 } else {
                     self.halted_masters -= 1;
@@ -1656,27 +1669,25 @@ impl Soc {
     /// order belongs to [`Soc::tick`] alone. Runs after every tick on
     /// the event core, so the saturated case (some component always
     /// busy) must bail out early.
-    fn next_wake_cycle(&self, end: Cycle) -> Option<Cycle> {
+    fn next_wake_cycle(&mut self, end: Cycle) -> Option<Cycle> {
         let now = self.now;
-        // Fold one declared wake into the running minimum; a wake at or
-        // before `now` means its component is due this cycle.
-        let wake = |next: Cycle, at: Cycle| (at > now).then_some(next.min(at));
-        let mut next = end;
+        let wake = |next: Cycle, at: Cycle| fold_wake(now, next, at);
         // Tick steps 2–3 per master, first: under saturation some device
         // is due every cycle, and this is the cheapest way to find it
-        // (the checks below include a scan of the watchdog's list).
-        for slot in &self.masters {
-            if let Some(&(ready_at, _)) = slot.inbound.front() {
-                next = wake(next, Cycle(ready_at))?;
-            }
-            match slot.device.as_deref()?.next_wake(now) {
-                Wake::Now => return None,
-                Wake::At(at) => next = wake(next, at)?,
-                // Pure while its response queue is empty.
-                Wake::Waiting if !slot.ready.is_empty() => return None,
-                // Terminally quiescent; undelivered responses are dead
-                // letters under both cores.
-                Wake::Waiting | Wake::Never => {}
+        // (the checks below include a scan of the watchdog's list). The
+        // master that ended the last search is asked before the pass:
+        // under a flood it is the flood, which the pass reaches last.
+        if let Some(slot) = self.masters.get(self.wake_hint) {
+            Self::master_wake(slot, now, end)?;
+        }
+        let mut next = end;
+        for (idx, slot) in self.masters.iter().enumerate() {
+            match Self::master_wake(slot, now, next) {
+                Some(at) => next = at,
+                None => {
+                    self.wake_hint = idx;
+                    return None;
+                }
             }
         }
         // Tick step 0: scheduled environment faults.
@@ -1738,6 +1749,24 @@ impl Soc {
             next = wake(next, at)?;
         }
         Some(next)
+    }
+
+    /// Tick steps 2–3 for one master: its declared wakes folded into
+    /// `next`, or `None` when it is due at `now`. The skip search's hint
+    /// check and its full pass both ask this, so they cannot disagree.
+    fn master_wake(slot: &MasterSlot, now: Cycle, mut next: Cycle) -> Option<Cycle> {
+        if let Some(&(ready_at, _)) = slot.inbound.front() {
+            next = fold_wake(now, next, Cycle(ready_at))?;
+        }
+        match slot.device.as_deref()?.next_wake(now) {
+            Wake::Now => None,
+            Wake::At(at) => fold_wake(now, next, at),
+            // Pure while its response queue is empty.
+            Wake::Waiting if !slot.ready.is_empty() => None,
+            // Terminally quiescent; undelivered responses are dead
+            // letters under both cores.
+            Wake::Waiting | Wake::Never => Some(next),
+        }
     }
 
     /// Attach (replacing any previous plan) the fault plan whose events
@@ -3292,6 +3321,75 @@ mod tests {
         );
         assert_eq!(soc.stats().counter("reconfig.verifier_refusals"), 3);
         assert_eq!(soc.policy_epoch(), 0);
+    }
+
+    /// A device that has finished before its first tick.
+    struct Parked(Stats);
+
+    impl BusMaster for Parked {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn tick(&mut self, _mem: &mut dyn MasterAccess, _now: Cycle) {}
+
+        fn halted(&self) -> bool {
+            true
+        }
+
+        fn next_wake(&self, _now: Cycle) -> Wake {
+            Wake::Never
+        }
+
+        fn label(&self) -> &str {
+            "parked"
+        }
+
+        fn stats(&self) -> &Stats {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn halt_census_counts_masters_halted_at_build() {
+        let build = |core: SimCore| {
+            let program = r"
+                li  r1, 0x20000000
+                addi r2, r0, 7
+                sw  r2, 0(r1)
+                lw  r3, 0(r1)
+                halt
+            ";
+            let mut soc = SocBuilder::new()
+                .add_master(Box::new(Parked(Stats::new())))
+                .add_master(Box::new(Mb32Core::with_local_program(
+                    "cpu0",
+                    0,
+                    assemble(program).unwrap(),
+                )))
+                .add_bram(
+                    "bram",
+                    AddrRange::new(BRAM_BASE, 0x1000),
+                    Bram::new(0x1000),
+                    None,
+                )
+                .build();
+            soc.set_sim_core(core);
+            soc
+        };
+        let stepped = build(SimCore::Stepped).run_until_halt(10_000);
+        let event = build(SimCore::Event).run_until_halt(10_000);
+        assert_eq!(stepped, event, "both cores see the last halt on one cycle");
+        assert!(
+            stepped > 0 && stepped < 10_000,
+            "the run ends when the core halts ({stepped} cycles)"
+        );
+        let mut parked = SocBuilder::new()
+            .add_master(Box::new(Parked(Stats::new())))
+            .add_master(Box::new(Parked(Stats::new())))
+            .build();
+        assert_eq!(parked.run_until_halt(10_000), 0, "halted at build");
+        assert_eq!(parked.now(), Cycle::ZERO);
     }
 
     /// A halted core, so the fleet sees no traffic of its own.

@@ -7,8 +7,11 @@
 //! pin that contract across the interesting regimes: fault storms with
 //! the full resilience stack, idle-heavy halting runs (where the
 //! fast-forward does the most work), a scheduled reconfiguration epoch
-//! and a quarantine release each landing inside a skipped stretch, and
-//! brownout hysteresis under open-loop flood.
+//! and a quarantine release each landing inside a skipped stretch,
+//! brownout hysteresis under open-loop flood, and the saturated
+//! platform's flood closing while the kernels still run.
+
+mod common;
 
 use secbus_bus::AddrRange;
 use secbus_core::{AdfSet, PolicyUpdate, Rwa, SecurityPolicy};
@@ -19,6 +22,8 @@ use secbus_soc::{
     case_study, run_soc_overload_with_core, CaseResilience, CaseStudyConfig, DegradeConfig, Soc,
     SocOverloadConfig, DDR_PUBLIC_BASE, SHARED_BRAM_BASE,
 };
+
+use common::{saturated_soc, Saturated};
 
 /// Rewrite a core program to loop forever instead of halting, so memory
 /// traffic (and therefore fault exposure) persists for the whole run.
@@ -256,4 +261,39 @@ fn brownout_hysteresis_is_identical_across_cores() {
     assert_eq!(stepped, event);
     assert_eq!(event.degrade_enters, 1);
     assert_eq!(event.degrade_exits, 1);
+}
+
+#[test]
+fn saturated_platform_matches_when_the_flood_closes_mid_run() {
+    // While the flood issues, it is the master that ends every skip
+    // search, so the event core asks it first. Its window closes while
+    // the kernels and the stream IP still run: from then on the search
+    // must find them without it, and once every kernel halts and the IP
+    // has sent its words, the idle tail must be skipped.
+    const CYCLES: u64 = 60_000;
+    let cfg = Saturated {
+        looping: false,
+        flood_until: 4_000,
+        ip_samples: 1_500,
+    };
+    let run = |core: SimCore| {
+        let mut soc = saturated_soc(&cfg, 7);
+        soc.set_sim_core(core);
+        soc.run(CYCLES);
+        let state = (
+            soc.now().get(),
+            soc.metrics_json(),
+            soc.bram_contents().map(<[u8]>::to_vec).unwrap_or_default(),
+            soc.ddr().map(|d| d.contents().to_vec()).unwrap_or_default(),
+        );
+        (state, soc.ticks_executed())
+    };
+    let (stepped, _) = run(SimCore::Stepped);
+    let (event, event_ticks) = run(SimCore::Event);
+    assert_eq!(stepped.0, CYCLES);
+    assert!(stepped == event, "the cores' final states differ");
+    assert!(
+        event_ticks < CYCLES,
+        "the idle tail was skipped ({event_ticks} ticks)"
+    );
 }
