@@ -241,6 +241,10 @@ fn main() {
                     Json::Obj(vec![
                         ("leaves".into(), Json::uint(host.merkle_leaves as u64)),
                         ("build_ns".into(), Json::uint(host.merkle_build_ns)),
+                        (
+                            "region_build_ns".into(),
+                            Json::uint(host.merkle_region_build_ns),
+                        ),
                     ]),
                 ),
                 ("outputs_match".into(), Json::Bool(host.outputs_match)),

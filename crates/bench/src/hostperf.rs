@@ -10,7 +10,9 @@
 //!   the accel (AES-NI multi-lane) backend, in GB/s;
 //! * **SHA-256** — bulk hashing on the soft vs accel (SHA-NI) backend;
 //! * **Merkle** — one tree build, the serial builder on the active
-//!   backend, in nanoseconds.
+//!   backend, in nanoseconds: over precomputed leaf digests, and as a
+//!   whole region build that also hashes the leaves from 16-byte blocks,
+//!   the way a recovery's `region_tree` does.
 //!
 //! Every optimized path is also checked byte-identical against its
 //! reference inside the measurement ([`HostPerf::outputs_match`]), so a
@@ -21,15 +23,15 @@
 //! clock as the fallback, all paths timed back-to-back in paired rounds.
 //! The cipher and hash windows are reported from the median round (by
 //! the headline accel-vs-per-block ratio), so slow frequency drift
-//! cancels out of every ratio; the Merkle build, which no ratio reads, is
-//! the median of the rounds' own build times. Each cipher and hash path
-//! gets its own rep count so that even the multi-GB/s windows stay long
-//! enough for the 100 Hz CPU clock; the Merkle builds repeat for 100
-//! ticks of the wall clock.
+//! cancels out of every ratio; each Merkle build, which no ratio reads,
+//! is the median of the rounds' own build times. Each cipher and hash
+//! path gets its own rep count so that even the multi-GB/s windows stay
+//! long enough for the 100 Hz CPU clock; each kind of Merkle build
+//! repeats for 100 ticks of the wall clock.
 
 use std::time::{Duration, Instant};
 
-use secbus_crypto::merkle::leaf_digest;
+use secbus_crypto::merkle::{leaf_digest, leaf_digests};
 use secbus_crypto::{host_caps, sha256_with, CryptoBackend, MemoryCipher, MerkleTree};
 
 use crate::perf::{timed, CPU_TICK_NS};
@@ -132,6 +134,10 @@ pub struct HostPerf {
     /// One tree build ([`MerkleTree::build`]), nanoseconds: the median
     /// over the rounds.
     pub merkle_build_ns: u64,
+    /// One whole region build ([`MerkleTree::from_fn`] over
+    /// [`leaf_digests`] of 16-byte blocks), nanoseconds: the median over
+    /// the rounds.
+    pub merkle_region_build_ns: u64,
     /// Every optimized path matched its reference byte-for-byte:
     /// soft/accel ciphertext and soft/accel digests.
     pub outputs_match: bool,
@@ -157,7 +163,8 @@ impl HostPerf {
 }
 
 /// One paired timing round: every path timed back-to-back, host
-/// nanoseconds per window (`build_ns` is per build).
+/// nanoseconds per window (`build_ns` and `region_build_ns` are per
+/// build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Round {
     per_block_ns: u64,
@@ -166,14 +173,19 @@ struct Round {
     sha_soft_ns: u64,
     sha_accel_ns: u64,
     build_ns: u64,
+    region_build_ns: u64,
 }
 
 /// The round to report from non-empty `rounds`: the cipher and hash
 /// windows of the round that is median by the headline ratio, and the
-/// median of every round's own Merkle build time.
+/// median of every round's own time for each kind of Merkle build.
 fn select_round(mut rounds: Vec<Round>) -> Round {
-    let mut builds: Vec<u64> = rounds.iter().map(|r| r.build_ns).collect();
-    builds.sort_unstable();
+    let median = |build: fn(&Round) -> u64| {
+        let mut builds: Vec<u64> = rounds.iter().map(build).collect();
+        builds.sort_unstable();
+        builds[builds.len() / 2]
+    };
+    let (build_ns, region_build_ns) = (median(|r| r.build_ns), median(|r| r.region_build_ns));
     // Median by (per-block ns/byte) / (accel ns/byte): every round moves
     // the same bytes, so the windows cross-multiply in integers.
     // Tie-break by accel window length for determinism.
@@ -183,9 +195,25 @@ fn select_round(mut rounds: Vec<Round>) -> Round {
             .then(a.accel_ns.cmp(&b.accel_ns))
     });
     Round {
-        build_ns: builds[builds.len() / 2],
+        build_ns,
+        region_build_ns,
         ..rounds[rounds.len() / 2]
     }
+}
+
+/// Host nanoseconds per `build`, from a window that repeats it until the
+/// window spans [`MERKLE_WINDOW`] on the wall clock: one build is far
+/// shorter than a CPU-clock tick.
+fn per_build_ns(build: &mut dyn FnMut()) -> u64 {
+    let mut builds = 0u64;
+    let window_ns = timed(&mut || {
+        let start = Instant::now();
+        while start.elapsed() < MERKLE_WINDOW {
+            build();
+            builds += 1;
+        }
+    });
+    window_ns / builds
 }
 
 /// Measure the host-throughput comparison.
@@ -217,6 +245,9 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
     let leaves: Vec<_> = (0..w.merkle_leaves)
         .map(|i| leaf_digest(i as u64, 0, &(i as u64).to_le_bytes()))
         .collect();
+    // A region's worth of 16-byte blocks with their time stamps.
+    let blocks: Vec<u8> = (0..w.merkle_leaves * 16).map(|i| i as u8).collect();
+    let tags: Vec<u64> = (0..w.merkle_leaves as u64).collect();
 
     let reps = |total: usize| (total / w.burst_bytes).max(1) as u32;
     let mut buf = vec![0xa5u8; w.burst_bytes];
@@ -250,18 +281,15 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
                     std::hint::black_box(sha256_with(&buf, CryptoBackend::Accel));
                 }
             });
-            // One build is far shorter than a CPU-clock tick, so the
-            // window repeats builds until it spans MERKLE_WINDOW on the
-            // wall clock, and the per-build time is divided back out.
-            let mut builds = 0u64;
-            let window_ns = timed(&mut || {
-                let start = Instant::now();
-                while start.elapsed() < MERKLE_WINDOW {
-                    std::hint::black_box(MerkleTree::build(std::hint::black_box(&leaves)));
-                    builds += 1;
-                }
+            let build_ns = per_build_ns(&mut || {
+                std::hint::black_box(MerkleTree::build(std::hint::black_box(&leaves)));
             });
-            let build_ns = window_ns / builds;
+            let region_build_ns = per_build_ns(&mut || {
+                let (blocks, tags) = std::hint::black_box((&blocks, &tags));
+                std::hint::black_box(MerkleTree::from_fn(tags.len(), |level| {
+                    leaf_digests(blocks, tags, level)
+                }));
+            });
             Round {
                 per_block_ns,
                 soft_ns,
@@ -269,6 +297,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
                 sha_soft_ns,
                 sha_accel_ns,
                 build_ns,
+                region_build_ns,
             }
         })
         .collect();
@@ -299,6 +328,7 @@ pub fn measure_host(w: &HostWorkload) -> HostPerf {
         },
         merkle_leaves: w.merkle_leaves,
         merkle_build_ns: r.build_ns,
+        merkle_region_build_ns: r.region_build_ns,
         outputs_match,
     }
 }
@@ -327,37 +357,42 @@ mod tests {
         assert!(p.ctr_accel_vs_per_block().is_finite());
         assert!(p.sha_speedup().is_finite());
         assert!(p.merkle_build_ns > 0);
+        assert!(p.merkle_region_build_ns > 0);
         // Capability flags agree with the crypto crate's probe.
         let caps = host_caps();
         assert_eq!(p.aesni, caps.aesni);
         assert_eq!(p.shani, caps.shani);
     }
 
-    /// The Merkle figure is the median of the rounds' own build times,
+    /// Each Merkle figure is the median of the rounds' own build times,
     /// not the build time of the round that is median by the CTR ratio.
     #[test]
     fn merkle_build_is_the_median_build_not_the_ctr_median_rounds() {
-        let round = |per_block_ns, accel_ns, build_ns| Round {
+        let round = |per_block_ns, accel_ns, build_ns, region_build_ns| Round {
             per_block_ns,
             soft_ns: 10 * per_block_ns,
             accel_ns,
             sha_soft_ns: 20 * per_block_ns,
             sha_accel_ns: 30 * per_block_ns,
             build_ns,
+            region_build_ns,
         };
         // CTR ratios 2, 4 and 3: the third round is the median by ratio,
-        // and it has the largest build time.
-        let median = round(3_000, 1_000, 9_000);
+        // and it has the largest build time and the smallest region
+        // build time.
+        let median = round(3_000, 1_000, 9_000, 2_000);
         let rounds = vec![
-            round(2_000, 1_000, 5_000),
-            round(4_000, 1_000, 7_000),
+            round(2_000, 1_000, 5_000, 6_000),
+            round(4_000, 1_000, 7_000, 4_000),
             median,
         ];
         let r = select_round(rounds);
         assert_eq!(r.build_ns, 7_000, "the median build time");
+        assert_eq!(r.region_build_ns, 4_000, "the median region build time");
         assert_eq!(
             Round {
                 build_ns: median.build_ns,
+                region_build_ns: median.region_build_ns,
                 ..r
             },
             median,

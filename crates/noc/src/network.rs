@@ -20,12 +20,13 @@
 //!   cycles after it stops responding.
 //!
 //! Detected failures trigger fault-region-aware rerouting
-//! ([`adaptive_route`]); an unroutable destination **fails secure** — the
-//! packet is converted into a [`NocAlert`] (containment signal for the
-//! requesting interface), never silently dropped and never delivered
-//! anywhere other than its destination's network interface. The clean
-//! path costs exactly the same cycles as the unprotected mesh, so every
-//! seed latency test holds for both modes.
+//! ([`adaptive_route`](crate::topology::adaptive_route)); an unroutable
+//! destination **fails secure** — the packet is converted into a
+//! [`NocAlert`] (containment signal for the requesting interface), never
+//! silently dropped and never delivered anywhere other than its
+//! destination's network interface. The clean path costs exactly the
+//! same cycles as the unprotected mesh, so every seed latency test holds
+//! for both modes.
 
 use std::collections::VecDeque;
 
@@ -34,7 +35,9 @@ use secbus_fault::FaultKind;
 use secbus_sim::{stat_keys, Cycle, Stats, TraceEvent, Tracer};
 
 use crate::link::crc32;
-use crate::topology::{adaptive_route, direction_index, xy_route, FaultMap, NodeId, Topology};
+use crate::topology::{
+    adaptive_route_into, direction_index, xy_route_into, FaultMap, NodeId, Topology,
+};
 
 /// Unique packet identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -247,6 +250,14 @@ impl Flight {
     }
 }
 
+/// A route buffer from `pool`, or a new one that holds any XY route on
+/// `topology` without growing.
+fn take_route(pool: &mut Vec<Vec<NodeId>>, topology: Topology) -> Vec<NodeId> {
+    pool.pop().unwrap_or_else(|| {
+        Vec::with_capacity(usize::from(topology.cols) + usize::from(topology.rows) - 1)
+    })
+}
+
 /// Per-directed-link state: timing, ground-truth faults, and the
 /// condensed link-protocol bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
@@ -305,11 +316,19 @@ pub struct Mesh {
     links: Vec<LinkState>,
     routers: Vec<RouterState>,
     fault_map: FaultMap,
+    /// Routers stuck but not yet declared dead, as (router index, stuck
+    /// since), in router-index order: the heartbeat detector's work list.
+    stuck: Vec<(usize, u64)>,
     flights: Vec<Flight>,
+    /// Route buffers of flights that left, refilled by the next
+    /// injection or reroute so a packet's life allocates nothing.
+    route_pool: Vec<Vec<NodeId>>,
     /// Packets resident per node — the credit counter backing
     /// [`NocConfig::node_capacity`].
     occupancy: Vec<u32>,
     delivered: Vec<VecDeque<(Packet, DeliveryInfo)>>,
+    /// Packets waiting in `delivered`, over every node.
+    pending_deliveries: usize,
     alerts: VecDeque<NocAlert>,
     next_id: u64,
     stats: Stats,
@@ -329,11 +348,14 @@ impl Mesh {
             links: vec![LinkState::default(); topology.len() * 4],
             routers: vec![RouterState::default(); topology.len()],
             fault_map: FaultMap::new(topology),
+            stuck: Vec::new(),
             occupancy: vec![0; topology.len()],
             delivered: (0..topology.len()).map(|_| VecDeque::new()).collect(),
+            pending_deliveries: 0,
             topology,
             config,
             flights: Vec::new(),
+            route_pool: Vec::new(),
             alerts: VecDeque::new(),
             next_id: 0,
             stats: Stats::slotted(MeshCounter::KEYS, MeshHistogram::KEYS),
@@ -395,7 +417,12 @@ impl Mesh {
             }
             FaultKind::RouterStuck { node } => {
                 let r = node as usize % nodes;
-                self.routers[r].stuck_since.get_or_insert(now.get());
+                // A router already stuck keeps its first cycle.
+                if self.routers[r].stuck_since.is_none() {
+                    self.routers[r].stuck_since = Some(now.get());
+                    let at = self.stuck.partition_point(|&(i, _)| i < r);
+                    self.stuck.insert(at, (r, now.get()));
+                }
                 self.stats.incr("noc.fault.router_stuck");
                 true
             }
@@ -466,17 +493,16 @@ impl Mesh {
         assert!(self.topology.contains(packet.src), "src outside mesh");
         assert!(self.topology.contains(packet.dst), "dst outside mesh");
         self.stats.incr_slot(MeshCounter::Injected);
-        let route = if self.config.protected {
-            match adaptive_route(packet.src, packet.dst, &self.fault_map) {
-                Some(r) => r,
-                None => {
-                    self.raise_alert(packet, LossReason::Unroutable, now);
-                    return;
-                }
+        let mut route = take_route(&mut self.route_pool, self.topology);
+        if self.config.protected {
+            if !adaptive_route_into(packet.src, packet.dst, &self.fault_map, &mut route) {
+                self.route_pool.push(route);
+                self.raise_alert(packet, LossReason::Unroutable, now);
+                return;
             }
         } else {
-            xy_route(packet.src, packet.dst)
-        };
+            xy_route_into(packet.src, packet.dst, &mut route);
+        }
         let stamp = content_stamp(&packet);
         let local = route.len() == 1;
         self.occupancy[self.topology.index(packet.src)] += 1;
@@ -499,7 +525,8 @@ impl Mesh {
         });
     }
 
-    /// Remove a flight, returning its node's buffer credit.
+    /// Remove a flight, returning its node's buffer credit. The caller
+    /// returns its route buffer to `route_pool`.
     fn remove_flight(&mut self, idx: usize) -> Flight {
         let flight = self.flights.swap_remove(idx);
         if let Some(pos) = flight.position() {
@@ -517,43 +544,43 @@ impl Mesh {
         if !self.config.protected {
             return;
         }
-        for idx in 0..self.routers.len() {
-            let Some(since) = self.routers[idx].stuck_since else {
-                continue;
-            };
+        let mut next = 0;
+        while next < self.stuck.len() {
+            let (idx, since) = self.stuck[next];
             if now.get() < since + self.config.heartbeat_timeout {
+                next += 1;
                 continue;
             }
+            self.stuck.remove(next);
             let node = NodeId::new(
                 (idx % usize::from(self.topology.cols)) as u8,
                 (idx / usize::from(self.topology.cols)) as u8,
             );
-            if !self.fault_map.fail_router(node) {
-                continue; // already known
-            }
+            // Only routers not yet declared are on the list.
+            self.fault_map.fail_router(node);
             self.stats.incr("noc.router_failures_detected");
-            // Collect the packets that died inside the router.
-            let mut lost = Vec::new();
+            // Alert every packet that died inside the router.
             let mut i = 0;
             while i < self.flights.len() {
                 if self.flights[i].position() == Some(node) {
-                    lost.push(self.flights.swap_remove(i));
+                    let flight = self.flights.swap_remove(i);
+                    self.occupancy[idx] = self.occupancy[idx].saturating_sub(1);
+                    self.route_pool.push(flight.route);
+                    self.raise_alert(flight.packet, LossReason::RouterFailed, now);
                 } else {
                     i += 1;
                 }
             }
-            self.occupancy[idx] = self.occupancy[idx].saturating_sub(lost.len() as u32);
-            for flight in lost {
-                self.raise_alert(flight.packet, LossReason::RouterFailed, now);
-            }
         }
     }
 
-    /// Reroute `flight` from its current position. Returns the loss
+    /// Reroute `flight` from its current position, into a buffer from
+    /// `pool`; the old route goes back to `pool`. Returns the loss
     /// reason when the packet must be abandoned (fail secure).
     fn reroute(
         flight: &mut Flight,
         fault_map: &FaultMap,
+        pool: &mut Vec<Vec<NodeId>>,
         stats: &mut Stats,
         now: Cycle,
     ) -> Option<LossReason> {
@@ -564,18 +591,18 @@ impl Mesh {
         if flight.reroutes > MAX_REROUTES {
             return Some(LossReason::RerouteBudgetExhausted);
         }
-        match adaptive_route(from, flight.packet.dst, fault_map) {
-            Some(route) => {
-                stats.incr("noc.reroutes");
-                flight.route = route;
-                flight.hop = 1;
-                flight.retx_hop = 0;
-                // Route recomputation charges one router pipeline pass.
-                flight.ready_at = now.get() + ROUTER_CYCLES;
-                None
-            }
-            None => Some(LossReason::Unroutable),
+        let mut route = take_route(pool, fault_map.topology());
+        if !adaptive_route_into(from, flight.packet.dst, fault_map, &mut route) {
+            pool.push(route);
+            return Some(LossReason::Unroutable);
         }
+        stats.incr("noc.reroutes");
+        pool.push(std::mem::replace(&mut flight.route, route));
+        flight.hop = 1;
+        flight.retx_hop = 0;
+        // Route recomputation charges one router pipeline pass.
+        flight.ready_at = now.get() + ROUTER_CYCLES;
+        None
     }
 
     /// Advance the network one cycle: move every flight whose current hop
@@ -604,11 +631,20 @@ impl Mesh {
                 }
                 continue;
             }
+            // A clean map believes every hop healthy, so only a degraded
+            // one is asked about this hop; it may degrade mid-tick.
             if self.config.protected
+                && !self.fault_map.is_clean()
                 && (!self.fault_map.router_ok(to) || !self.fault_map.link_ok(from, to))
             {
                 // The fault map already knows this hop is dead: detour.
-                if let Some(reason) = Self::reroute(flight, &self.fault_map, &mut self.stats, now) {
+                if let Some(reason) = Self::reroute(
+                    flight,
+                    &self.fault_map,
+                    &mut self.route_pool,
+                    &mut self.stats,
+                    now,
+                ) {
                     outcomes.push(Outcome::Lost(idx, reason));
                 }
                 continue;
@@ -757,10 +793,12 @@ impl Mesh {
                 }
                 Outcome::Lost(idx, reason) => {
                     let flight = self.remove_flight(idx);
+                    self.route_pool.push(flight.route);
                     self.raise_alert(flight.packet, reason, now);
                 }
                 Outcome::SilentDrop(idx) => {
-                    let _ = self.remove_flight(idx);
+                    let flight = self.remove_flight(idx);
+                    self.route_pool.push(flight.route);
                     // Ground truth only: nothing in the system knows.
                     self.stats.incr("noc.silent_drops");
                 }
@@ -772,7 +810,9 @@ impl Mesh {
     /// Hand a completed flight to its destination interface — or fail
     /// secure when the route is defective.
     fn finish(&mut self, flight: Flight, now: Cycle) {
-        let Some(&last) = flight.route.last() else {
+        let last = flight.route.last().copied();
+        self.route_pool.push(flight.route);
+        let Some(last) = last else {
             // An empty route is a detected routing fault, not a panic.
             self.stats.incr("noc.empty_route_alerts");
             self.raise_alert(flight.packet, LossReason::EmptyRoute, now);
@@ -790,6 +830,7 @@ impl Mesh {
         }
         self.stats.incr_slot(MeshCounter::Delivered);
         let node = self.topology.index(last);
+        self.pending_deliveries += 1;
         self.delivered[node].push_back((
             flight.packet,
             DeliveryInfo {
@@ -807,7 +848,9 @@ impl Mesh {
 
     /// Pop the next delivery with its transport metadata.
     pub fn deliver_with_info(&mut self, node: NodeId) -> Option<(Packet, DeliveryInfo)> {
-        self.delivered[self.topology.index(node)].pop_front()
+        let delivery = self.delivered[self.topology.index(node)].pop_front();
+        self.pending_deliveries -= usize::from(delivery.is_some());
+        delivery
     }
 
     /// Packets currently in flight.
@@ -835,7 +878,7 @@ impl Mesh {
     /// Whether any delivered packet is waiting to be popped by a
     /// destination (the runner's delivery step has work to do).
     pub fn has_pending_deliveries(&self) -> bool {
-        self.delivered.iter().any(|q| !q.is_empty())
+        self.pending_deliveries > 0
     }
 
     /// Whether any alert is waiting to be taken.
@@ -870,17 +913,8 @@ impl Mesh {
             merge(flight.ready_at);
         }
         if self.config.protected {
-            for (idx, router) in self.routers.iter().enumerate() {
-                let Some(since) = router.stuck_since else {
-                    continue;
-                };
-                let node = NodeId::new(
-                    (idx % usize::from(self.topology.cols)) as u8,
-                    (idx / usize::from(self.topology.cols)) as u8,
-                );
-                if !self.fault_map.router_ok(node) {
-                    continue; // already detected; detector is pure
-                }
+            // Detected routers have left the list: their detector is pure.
+            for &(_, since) in &self.stuck {
                 let deadline = since + self.config.heartbeat_timeout;
                 if deadline <= now.get() {
                     return MeshQuiet::Active;
@@ -1201,6 +1235,68 @@ mod tests {
         assert_eq!(alert.reason, LossReason::Unroutable);
         assert_eq!(mesh.in_flight(), 0);
         assert_eq!(mesh.stats().counter("noc.delivered"), 0);
+    }
+
+    /// Two routers stuck at different cycles, the later-stuck one lower
+    /// in index order and the other stuck twice: each is declared dead
+    /// `heartbeat_timeout` cycles after it first stuck, `next_event`
+    /// names the nearer deadline, and when both mature in one tick their
+    /// resident packets alert in router-index order.
+    #[test]
+    fn stuck_routers_are_detected_from_their_first_stuck_cycle() {
+        let t = Topology::new(3, 3);
+        let (high, low) = (NodeId::new(1, 1), NodeId::new(2, 0));
+        let stick = |mesh: &mut Mesh| {
+            mesh.apply_fault(&FaultKind::RouterStuck { node: 4 }, Cycle(0));
+            mesh.apply_fault(&FaultKind::RouterStuck { node: 2 }, Cycle(5));
+            // A second fault on router 4 keeps its first stuck cycle.
+            mesh.apply_fault(&FaultKind::RouterStuck { node: 4 }, Cycle(7));
+        };
+
+        // Ticked every cycle: router 4 falls at 48, router 2 at 53.
+        let mut mesh = Mesh::new(t, NocConfig::protected());
+        let timeout = mesh.config().heartbeat_timeout;
+        stick(&mut mesh);
+        assert_eq!(mesh.next_event(Cycle(8)), MeshQuiet::Until(Cycle(timeout)));
+        let mut detected = [None; 2];
+        for c in 8..200 {
+            mesh.tick(Cycle(c));
+            for (at, n) in detected.iter_mut().zip([high, low]) {
+                if at.is_none() && !mesh.fault_map().router_ok(n) {
+                    *at = Some(c);
+                }
+            }
+            if c == timeout {
+                assert_eq!(
+                    mesh.next_event(Cycle(c + 1)),
+                    MeshQuiet::Until(Cycle(5 + timeout))
+                );
+            }
+        }
+        assert_eq!(detected, [Some(timeout), Some(5 + timeout)]);
+        assert_eq!(mesh.next_event(Cycle(200)), MeshQuiet::Idle);
+        assert_eq!(mesh.stats().counter("noc.router_failures_detected"), 2);
+
+        // Not ticked until both have matured: one tick declares both,
+        // and the packets resident in them alert in router-index order.
+        let mut mesh = Mesh::new(t, NocConfig::protected());
+        packet(&mut mesh, high, high, 1, Cycle(0));
+        packet(&mut mesh, low, low, 1, Cycle(0));
+        stick(&mut mesh);
+        mesh.tick(Cycle(5 + timeout));
+        let alerted: Vec<(NodeId, LossReason)> = std::iter::from_fn(|| mesh.take_alert())
+            .map(|a| (a.packet.src, a.reason))
+            .collect();
+        assert_eq!(
+            alerted,
+            vec![
+                (low, LossReason::RouterFailed),
+                (high, LossReason::RouterFailed)
+            ]
+        );
+        assert_eq!(mesh.fault_map().failed_router_count(), 2);
+        assert_eq!(mesh.in_flight(), 0);
+        assert_eq!(mesh.next_event(Cycle(6 + timeout)), MeshQuiet::Idle);
     }
 
     #[test]

@@ -112,11 +112,6 @@ pub struct OverloadReport {
     pub metrics_json: String,
 }
 
-/// Node `i` on a `cols`-wide mesh.
-fn node(i: usize, cols: u8) -> NodeId {
-    NodeId::new((i % usize::from(cols)) as u8, (i / usize::from(cols)) as u8)
-}
-
 /// Replay an open-loop schedule against the mesh and audit conservation.
 /// The run-loop core comes from `SECBUS_SIM_CORE` (event-driven by
 /// default); the two cores produce identical reports per seed.
@@ -129,6 +124,8 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadReport {
 pub fn run_overload_with_core(cfg: &OverloadConfig, core: SimCore) -> OverloadReport {
     let topology = Topology::new(cfg.cols, cfg.rows);
     let nodes = topology.len();
+    // Node ids by schedule index (row-major, like the workload's).
+    let node_ids: Vec<NodeId> = topology.nodes().collect();
     let noc_config = NocConfig {
         protected: cfg.protected,
         node_capacity: cfg.node_capacity,
@@ -182,8 +179,8 @@ pub fn run_overload_with_core(cfg: &OverloadConfig, core: SimCore) -> OverloadRe
             mesh.try_inject(
                 Packet {
                     id,
-                    src: node(a.source, cfg.cols),
-                    dst: node(a.dest, cfg.cols),
+                    src: node_ids[a.source],
+                    dst: node_ids[a.dest],
                     op: if a.write { Op::Write } else { Op::Read },
                     addr: a.addr,
                     width: Width::Word,
@@ -195,8 +192,11 @@ pub fn run_overload_with_core(cfg: &OverloadConfig, core: SimCore) -> OverloadRe
             );
         }
         mesh.tick(now);
-        for i in 0..nodes {
-            while mesh.deliver(node(i, cfg.cols)).is_some() {
+        for &n in &node_ids {
+            if !mesh.has_pending_deliveries() {
+                break;
+            }
+            while mesh.deliver(n).is_some() {
                 delivered += 1;
             }
         }

@@ -384,15 +384,9 @@ pub fn run_noc_soak_with_core(
                 mem_queue.push((c + mem_latency, resp));
             }
         }
-        let mut staying = Vec::new();
-        for (ready, resp) in mem_queue.drain(..) {
-            if ready <= c {
-                mesh.inject(resp, Cycle(c));
-            } else {
-                staying.push((ready, resp));
-            }
+        for (_, resp) in mem_queue.extract_if(.., |(ready, _)| *ready <= c) {
+            mesh.inject(resp, Cycle(c));
         }
-        mem_queue = staying;
 
         // Responses back at the initiators.
         for init in inits.iter_mut() {

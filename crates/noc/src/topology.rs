@@ -83,7 +83,16 @@ impl Topology {
 /// Deterministic XY route: move along X to the destination column, then
 /// along Y. Returns every node visited including `src` and `dst`.
 pub fn xy_route(src: NodeId, dst: NodeId) -> Vec<NodeId> {
-    let mut path = vec![src];
+    let mut path = Vec::new();
+    xy_route_into(src, dst, &mut path);
+    path
+}
+
+/// [`xy_route`] written into `path`, replacing what it held, so the mesh
+/// can reuse one buffer per flight.
+pub(crate) fn xy_route_into(src: NodeId, dst: NodeId, path: &mut Vec<NodeId>) {
+    path.clear();
+    path.push(src);
     let mut cur = src;
     while cur.x != dst.x {
         cur.x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
@@ -93,7 +102,6 @@ pub fn xy_route(src: NodeId, dst: NodeId) -> Vec<NodeId> {
         cur.y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
         path.push(cur);
     }
-    path
 }
 
 /// Mesh direction index: N=0, S=1, E=2, W=3 (shared with the mesh's
@@ -134,6 +142,10 @@ pub struct FaultMap {
     failed_links: Vec<bool>,
     /// Router health, indexed by node index.
     failed_routers: Vec<bool>,
+    /// How many entries of `failed_links` are set.
+    link_failures: usize,
+    /// How many entries of `failed_routers` are set.
+    router_failures: usize,
 }
 
 impl FaultMap {
@@ -142,6 +154,8 @@ impl FaultMap {
         FaultMap {
             failed_links: vec![false; topology.len() * 4],
             failed_routers: vec![false; topology.len()],
+            link_failures: 0,
+            router_failures: 0,
             topology,
         }
     }
@@ -155,14 +169,18 @@ impl FaultMap {
     /// Returns `true` when this is new information.
     pub fn fail_link(&mut self, from: NodeId, dir: usize) -> bool {
         let idx = self.topology.index(from) * 4 + (dir & 3);
-        !std::mem::replace(&mut self.failed_links[idx], true)
+        let new = !std::mem::replace(&mut self.failed_links[idx], true);
+        self.link_failures += usize::from(new);
+        new
     }
 
     /// Declare router `n` dead (all its links die with it). Returns
     /// `true` when this is new information.
     pub fn fail_router(&mut self, n: NodeId) -> bool {
         let idx = self.topology.index(n);
-        !std::mem::replace(&mut self.failed_routers[idx], true)
+        let new = !std::mem::replace(&mut self.failed_routers[idx], true);
+        self.router_failures += usize::from(new);
+        new
     }
 
     /// Whether the directed link `from → to` is believed healthy
@@ -179,17 +197,17 @@ impl FaultMap {
 
     /// Count of links declared dead.
     pub fn failed_link_count(&self) -> usize {
-        self.failed_links.iter().filter(|&&f| f).count()
+        self.link_failures
     }
 
     /// Count of routers declared dead.
     pub fn failed_router_count(&self) -> usize {
-        self.failed_routers.iter().filter(|&&f| f).count()
+        self.router_failures
     }
 
     /// Whether the map still believes the mesh is fully healthy.
     pub fn is_clean(&self) -> bool {
-        self.failed_link_count() == 0 && self.failed_router_count() == 0
+        self.link_failures == 0 && self.router_failures == 0
     }
 }
 
@@ -209,15 +227,30 @@ impl FaultMap {
 /// Returns `None` when `dst` (or `src`) is believed dead or no healthy
 /// path exists — the caller must fail secure (alert), never deliver.
 pub fn adaptive_route(src: NodeId, dst: NodeId, map: &FaultMap) -> Option<Vec<NodeId>> {
+    let mut path = Vec::new();
+    adaptive_route_into(src, dst, map, &mut path).then_some(path)
+}
+
+/// [`adaptive_route`] written into `path`, replacing what it held.
+/// Returns `false` where [`adaptive_route`] returns `None`; `path` is
+/// then unspecified. On a clean map it is the XY route, written without
+/// checking a hop.
+pub(crate) fn adaptive_route_into(
+    src: NodeId,
+    dst: NodeId,
+    map: &FaultMap,
+    path: &mut Vec<NodeId>,
+) -> bool {
+    if map.is_clean() {
+        xy_route_into(src, dst, path);
+        return true;
+    }
     if !map.router_ok(src) || !map.router_ok(dst) {
-        return None;
+        return false;
     }
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let xy = xy_route(src, dst);
-    if xy.windows(2).all(|w| map.link_ok(w[0], w[1])) {
-        return Some(xy);
+    xy_route_into(src, dst, path);
+    if path.windows(2).all(|w| map.link_ok(w[0], w[1])) {
+        return true;
     }
     // BFS over believed-healthy links, deterministic expansion order.
     let t = map.topology();
@@ -227,14 +260,15 @@ pub fn adaptive_route(src: NodeId, dst: NodeId, map: &FaultMap) -> Option<Vec<No
     let mut frontier = VecDeque::from([src]);
     while let Some(cur) = frontier.pop_front() {
         if cur == dst {
-            let mut path = vec![dst];
+            path.clear();
+            path.push(dst);
             let mut walk = dst;
             while let Some(p) = parent[t.index(walk)] {
                 path.push(p);
                 walk = p;
             }
             path.reverse();
-            return Some(path);
+            return true;
         }
         for dir in preferred_directions(cur, dst) {
             let Some(next) = neighbor(t, cur, dir) else {
@@ -248,7 +282,7 @@ pub fn adaptive_route(src: NodeId, dst: NodeId, map: &FaultMap) -> Option<Vec<No
             frontier.push_back(next);
         }
     }
-    None
+    false
 }
 
 /// Expansion order for the detour search: X toward `dst` first, then Y
@@ -362,6 +396,46 @@ mod tests {
         for s in map.topology().nodes() {
             for d in map.topology().nodes() {
                 assert_eq!(adaptive_route(s, d, &map), Some(xy_route(s, d)));
+            }
+        }
+    }
+
+    /// Random declarations, repeats included: the kept counts always
+    /// equal the declared entries, and `is_clean` agrees with them and
+    /// with a set of what was declared.
+    #[test]
+    fn failure_counts_track_random_declarations() {
+        use secbus_sim::SimRng;
+        use std::collections::BTreeSet;
+        for case in 0u64..64 {
+            let mut rng = SimRng::new(0xFA11 + case);
+            let t = Topology::new(1 + rng.below(5) as u8, 1 + rng.below(5) as u8);
+            let nodes: Vec<NodeId> = t.nodes().collect();
+            let mut map = FaultMap::new(t);
+            let (mut links, mut routers) = (BTreeSet::new(), BTreeSet::new());
+            for _ in 0..rng.below(40) {
+                let n = *rng.pick(&nodes);
+                if rng.chance(0.5) {
+                    let dir = rng.below(8) as usize;
+                    assert_eq!(map.fail_link(n, dir), links.insert((n, dir & 3)));
+                } else {
+                    assert_eq!(map.fail_router(n), routers.insert(n));
+                }
+                assert_eq!(map.failed_link_count(), links.len());
+                assert_eq!(map.failed_router_count(), routers.len());
+                assert_eq!(
+                    map.failed_link_count(),
+                    map.failed_links.iter().filter(|&&f| f).count()
+                );
+                assert_eq!(
+                    map.failed_router_count(),
+                    map.failed_routers.iter().filter(|&&f| f).count()
+                );
+                assert_eq!(
+                    map.is_clean(),
+                    map.failed_link_count() == 0 && map.failed_router_count() == 0
+                );
+                assert_eq!(map.is_clean(), links.is_empty() && routers.is_empty());
             }
         }
     }

@@ -167,10 +167,11 @@ impl Workload {
             return;
         }
         let cfg = self.cfg;
-        let intensity = cfg.intensity.clamp(0.0, 1.0);
+        let arrives = chance_threshold(cfg.intensity);
         for (source, state) in self.states.iter_mut().enumerate() {
             let rng = &mut state.rng;
-            if !rng.chance(intensity) {
+            // `rng.chance(cfg.intensity)`, as one integer compare.
+            if rng.next_u64() >> 11 >= arrives {
                 continue;
             }
             let write = rng.chance(cfg.write_fraction);
@@ -195,6 +196,16 @@ impl Workload {
         }
         out
     }
+}
+
+/// The integer form of [`SimRng::chance`]: `chance(p)` hits exactly when
+/// the draw's top 53 bits, `next_u64() >> 11`, lie below this threshold.
+///
+/// `chance` compares `k · 2⁻⁵³` with `p` clamped to `[0, 1]`. Scaling by
+/// 2⁵³ is exact, and an integer `k` lies below a real `x` exactly when it
+/// lies below `⌈x⌉`. A NaN `p` never hits, and casts to 0.
+fn chance_threshold(p: f64) -> u64 {
+    (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Destination for one arrival from `source` under `cfg.pattern`.
@@ -347,6 +358,40 @@ mod tests {
         })
         .schedule();
         assert!(all_writes.iter().all(|a| a.write));
+    }
+
+    #[test]
+    fn integer_draw_matches_chance() {
+        let probabilities = [
+            0.0,
+            5e-324,
+            0.03,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            -0.5,
+            f64::NAN,
+        ];
+        for p in probabilities {
+            let threshold = chance_threshold(p);
+            let mut float = SimRng::new(0x5EED).derive("draw");
+            let mut integer = float.clone();
+            for draw in 0..100_000 {
+                assert_eq!(
+                    integer.next_u64() >> 11 < threshold,
+                    float.chance(p),
+                    "p {p:e}, draw {draw}"
+                );
+            }
+        }
+        // The edges the threshold exists for: 2⁵³ − 1 at p = 1 − 2⁻⁵³
+        // misses only the largest draw, 1 at the least subnormal hits
+        // only a zero draw, and p = 1 hits every draw.
+        assert_eq!(chance_threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+        assert_eq!(chance_threshold(5e-324), 1);
+        assert_eq!(chance_threshold(1.0), 1 << 53);
+        assert_eq!(chance_threshold(f64::NAN), 0);
     }
 
     #[test]
