@@ -12,7 +12,7 @@
 //! adds escalation (blocking a repeatedly-misbehaving IP) and an audit
 //! trail.
 
-use secbus_bus::{Transaction, TxnId};
+use secbus_bus::Transaction;
 use secbus_sim::{stat_keys, Cycle, EventLog, Stats, TraceEvent, Tracer};
 
 use crate::checker::Violation;
@@ -49,16 +49,6 @@ pub enum Reaction {
         /// When the block lifts.
         until: Cycle,
     },
-}
-
-/// A watched transaction whose completion never arrived in time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchdogExpiry {
-    /// The transaction that timed out.
-    pub txn: Transaction,
-    /// The firewall guarding the issuing IP, if known (the SoC raises the
-    /// timeout alert through it).
-    pub firewall: Option<FirewallId>,
 }
 
 stat_keys! {
@@ -128,15 +118,6 @@ pub struct SecurityMonitor {
     /// per-firewall violation count resets on escalation so the IP gets a
     /// fresh budget after release.
     quarantine_cycles: Option<u64>,
-    /// Outstanding-transaction timeout in cycles (`None` = no watchdog).
-    watchdog_timeout: Option<u64>,
-    /// Watched transactions: (deadline, txn, issuing firewall), insertion
-    /// order preserved so expiries drain deterministically.
-    watched: Vec<(Cycle, Transaction, Option<FirewallId>)>,
-    /// No watched deadline lies below this cycle: `watch` lowers it, and
-    /// an `expire` that scans resets it to the exact minimum, so the
-    /// per-tick expiry check is one compare until a deadline may be due.
-    watch_floor: Cycle,
 }
 
 impl SecurityMonitor {
@@ -152,9 +133,6 @@ impl SecurityMonitor {
             tracer: None,
             block_threshold,
             quarantine_cycles: None,
-            watchdog_timeout: None,
-            watched: Vec::new(),
-            watch_floor: Cycle(u64::MAX),
         }
     }
 
@@ -164,100 +142,19 @@ impl SecurityMonitor {
         self
     }
 
-    /// Arm a watchdog on outstanding transactions: anything watched that
-    /// is not resolved within `timeout` cycles expires — the SoC cancels
-    /// it and synthesizes an error response instead of hanging forever.
-    ///
-    /// # Panics
-    /// Panics on a zero timeout.
-    pub fn with_watchdog(mut self, timeout: u64) -> Self {
-        assert!(timeout > 0, "watchdog timeout must be positive");
-        self.watchdog_timeout = Some(timeout);
-        self
-    }
-
-    /// The armed watchdog timeout, if any.
-    pub fn watchdog_timeout(&self) -> Option<u64> {
-        self.watchdog_timeout
-    }
-
     /// Attach the observability spine; the monitor records a
     /// [`TraceEvent::Reaction`] for every escalation it decides.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
 
-    /// Start watching a transaction issued at `now`. No-op without an
-    /// armed watchdog. Watching an id that is already on the list
-    /// *re-arms* it (the retry path re-issues the same `TxnId`); keeping
-    /// both entries would leave an orphan that `resolve` never clears and
-    /// that later fires a spurious `WatchdogTimeout`.
-    #[inline]
-    pub fn watch(&mut self, txn: &Transaction, firewall: Option<FirewallId>, now: Cycle) {
-        if let Some(timeout) = self.watchdog_timeout {
-            let deadline = now + timeout;
-            let entry = (deadline, *txn, firewall);
-            match self.watched.iter().position(|(_, t, _)| t.id == txn.id) {
-                Some(idx) => self.watched[idx] = entry,
-                None => self.watched.push(entry),
-            }
-            self.watch_floor = self.watch_floor.min(deadline);
-        }
-    }
-
-    /// A watched transaction completed (successfully or not); stop its
-    /// timer. Unknown ids are ignored (e.g. discards that were never
-    /// watched).
-    #[inline]
-    pub fn resolve(&mut self, txn: TxnId) {
-        if let Some(idx) = self.watched.iter().position(|(_, t, _)| t.id == txn) {
-            self.watched.remove(idx);
-        }
-    }
-
-    /// Expire every watched transaction whose deadline has passed, in
-    /// watch order. The caller turns each expiry into a cancellation plus
-    /// a [`Violation::WatchdogTimeout`] alert.
-    #[inline]
-    pub fn expire(&mut self, now: Cycle) -> Vec<WatchdogExpiry> {
-        // Nothing due (every tick of a healthy run): one compare, no
-        // allocation, and the watch list is left untouched.
-        if now < self.watch_floor {
-            return Vec::new();
-        }
-        let mut expired = Vec::new();
-        let mut floor = Cycle(u64::MAX);
-        self.watched.retain(|&(deadline, txn, firewall)| {
-            if deadline <= now {
-                expired.push(WatchdogExpiry { txn, firewall });
-                false
-            } else {
-                floor = floor.min(deadline);
-                true
-            }
-        });
-        self.watch_floor = floor;
-        // Writing the slot, even with 0, makes the key visible, and
-        // materializing it on a scan that expired nothing would make
-        // otherwise-identical metrics snapshots differ by key set.
-        if !expired.is_empty() {
-            self.stats
-                .add_slot(MonitorCounter::WatchdogTimeouts, expired.len() as u64);
-        }
-        expired
-    }
-
-    /// Number of transactions currently on the watchdog's list.
-    pub fn watched_count(&self) -> usize {
-        self.watched.len()
-    }
-
-    /// Earliest watchdog deadline, if any transaction is watched. The
-    /// event-driven core must not fast-forward past it: `expire` fires
-    /// (and alerts) exactly at the deadline cycle.
-    #[inline]
-    pub fn next_watchdog_deadline(&self) -> Option<Cycle> {
-        self.watched.iter().map(|&(deadline, _, _)| deadline).min()
+    /// Count `expired` transactions the SoC's watchdog cancelled in one
+    /// scan. Call it only for a scan that expired some: writing the slot,
+    /// even with 0, makes `monitor.watchdog_timeouts` visible, and a key
+    /// from an empty scan would split otherwise-identical snapshots.
+    pub fn count_watchdog_timeouts(&mut self, expired: u64) {
+        self.stats
+            .add_slot(MonitorCounter::WatchdogTimeouts, expired);
     }
 
     /// Feed one alert; returns the reaction the system should apply.
@@ -480,47 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_expires_only_overdue_transactions() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(50);
-        assert_eq!(m.watchdog_timeout(), Some(50));
-        let a = alert(0, Violation::NoPolicy, 0).txn;
-        let mut b = a;
-        b.id = TxnId(1);
-        m.watch(&a, Some(FirewallId(0)), Cycle(10)); // deadline 60
-        m.watch(&b, None, Cycle(30)); // deadline 80
-        assert_eq!(m.watched_count(), 2);
-        assert!(m.expire(Cycle(59)).is_empty());
-        let expired = m.expire(Cycle(60));
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].txn.id, a.id);
-        assert_eq!(expired[0].firewall, Some(FirewallId(0)));
-        assert_eq!(m.watched_count(), 1);
-        let expired = m.expire(Cycle(1000));
-        assert_eq!(expired[0].txn.id, b.id);
-        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 2);
-    }
-
-    #[test]
-    fn resolved_transactions_never_expire() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(10);
-        let t = alert(0, Violation::NoPolicy, 0).txn;
-        m.watch(&t, None, Cycle(0));
-        m.resolve(t.id);
-        m.resolve(TxnId(999)); // unknown ids are ignored
-        assert_eq!(m.watched_count(), 0);
-        assert!(m.expire(Cycle(100)).is_empty());
-        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 0);
-    }
-
-    #[test]
-    fn watch_without_watchdog_is_a_noop() {
-        let mut m = SecurityMonitor::new(0);
-        let t = alert(0, Violation::NoPolicy, 0).txn;
-        m.watch(&t, None, Cycle(0));
-        assert_eq!(m.watched_count(), 0);
-    }
-
-    #[test]
     fn environment_faults_do_not_burn_the_violation_budget() {
         let mut m = SecurityMonitor::new(2).with_quarantine(100);
         assert_eq!(
@@ -622,96 +478,6 @@ mod tests {
         m.observe(alert(1, Violation::UnauthorizedWrite, 200));
         assert_eq!(m.alerts_from(FirewallId(1)), 4);
         assert_eq!(m.violation_budget(FirewallId(1)), 1);
-    }
-
-    /// Regression (accounting bug #2): `watch` used to append a second
-    /// entry for an already-watched id (the bounded-retry path re-issues
-    /// the same `TxnId`), while `resolve` removed only the first — the
-    /// orphan later fired a spurious `WatchdogTimeout`.
-    #[test]
-    fn rewatching_a_txn_rearms_instead_of_duplicating() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(50);
-        let t = alert(0, Violation::NoPolicy, 0).txn;
-        m.watch(&t, Some(FirewallId(0)), Cycle(0)); // deadline 50
-        m.watch(&t, Some(FirewallId(0)), Cycle(40)); // retry: re-arm to 90
-        assert_eq!(m.watched_count(), 1, "one entry per id");
-        assert!(m.expire(Cycle(60)).is_empty(), "old deadline re-armed away");
-        m.resolve(t.id);
-        assert_eq!(m.watched_count(), 0);
-        assert!(
-            m.expire(Cycle(1000)).is_empty(),
-            "no orphan fires after resolve"
-        );
-        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 0);
-    }
-
-    /// Resolving the earliest-deadline watch leaves the expiry floor
-    /// below every remaining deadline: the scan it triggers finds
-    /// nothing, and the later watch still fires on its own cycle.
-    #[test]
-    fn resolving_the_earliest_watch_keeps_the_later_deadline() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(50);
-        let a = alert(0, Violation::NoPolicy, 0).txn;
-        let b = Transaction { id: TxnId(1), ..a };
-        m.watch(&a, None, Cycle(0)); // deadline 50
-        m.watch(&b, None, Cycle(20)); // deadline 70
-        m.resolve(a.id);
-        assert_eq!(
-            m.next_watchdog_deadline(),
-            Some(Cycle(70)),
-            "exact, not the floor"
-        );
-        for now in 0..70 {
-            assert!(m.expire(Cycle(now)).is_empty(), "nothing due at {now}");
-        }
-        assert!(
-            m.stats()
-                .counters()
-                .all(|(k, _)| k != "monitor.watchdog_timeouts"),
-            "the stale-floor scan materialized no key"
-        );
-        let expired = m.expire(Cycle(70));
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].txn.id, b.id);
-        assert_eq!(m.watched_count(), 0);
-    }
-
-    /// A re-armed watch keeps its slot in watch order and fires only at
-    /// its new deadline; two watches due on one tick expire in watch
-    /// order.
-    #[test]
-    fn rearmed_watch_fires_once_in_watch_order() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(50);
-        let a = alert(0, Violation::NoPolicy, 0).txn;
-        let b = Transaction { id: TxnId(1), ..a };
-        m.watch(&a, None, Cycle(0)); // deadline 50
-        m.watch(&b, None, Cycle(30)); // deadline 80
-        m.watch(&a, None, Cycle(30)); // re-armed to 80
-        for now in 0..80 {
-            assert!(m.expire(Cycle(now)).is_empty(), "nothing due at {now}");
-        }
-        let ids: Vec<TxnId> = m.expire(Cycle(80)).iter().map(|e| e.txn.id).collect();
-        assert_eq!(ids, vec![a.id, b.id]);
-        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 2);
-    }
-
-    /// Regression (snapshot determinism): an empty expiry sweep must not
-    /// materialize a zero-valued `monitor.watchdog_timeouts` key, or
-    /// watchdog-armed runs differ from unarmed ones by key set alone.
-    #[test]
-    fn empty_expiry_records_no_counter_key() {
-        let mut m = SecurityMonitor::new(0).with_watchdog(10);
-        let t = alert(0, Violation::NoPolicy, 0).txn;
-        m.watch(&t, None, Cycle(0));
-        assert!(m.expire(Cycle(5)).is_empty());
-        assert!(
-            m.stats()
-                .counters()
-                .all(|(k, _)| k != "monitor.watchdog_timeouts"),
-            "no key materialized by a no-op sweep"
-        );
-        assert_eq!(m.expire(Cycle(100)).len(), 1);
-        assert_eq!(m.stats().counter("monitor.watchdog_timeouts"), 1);
     }
 
     /// The precomputed violation keys must match what the old `format!`

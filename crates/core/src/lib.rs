@@ -39,7 +39,7 @@ pub mod recovery;
 pub mod taint;
 pub mod thread_policy;
 
-pub use alert::{Alert, MonitorCounter, Reaction, SecurityMonitor, WatchdogExpiry};
+pub use alert::{Alert, MonitorCounter, Reaction, SecurityMonitor};
 pub use checker::{CheckOutcome, Violation};
 pub use config::ConfigMemory;
 pub use firewall::{Decision, FirewallId, FwCounter, LocalFirewall, RateLimit, SbTiming};

@@ -23,7 +23,7 @@ use secbus_sim::{
 
 use crate::degrade::{DegradeConfig, Hysteresis, Transition};
 use crate::fleet::{Fleet, Home, Member};
-use crate::inflight::{InFlight, InFlightTable};
+use crate::inflight::{InFlight, InFlightTable, Watch};
 
 stat_keys! {
     /// The SoC's per-cycle and per-transaction counters, kept in fixed
@@ -250,14 +250,14 @@ impl SocBuilder {
         self
     }
 
-    /// Arm the monitor's watchdog: any bus transaction still outstanding
-    /// `timeout` cycles after issue is cancelled everywhere it might live
-    /// and replaced by a synthesized [`BusError::Timeout`] response, so a
-    /// dropped grant or wedged slave degrades to a reported error instead
-    /// of hanging the issuing IP forever.
+    /// Arm the watchdog: any bus transaction still outstanding `timeout`
+    /// cycles after issue (or after its latest retry) is cancelled
+    /// everywhere it might live and replaced by a synthesized
+    /// [`BusError::Timeout`] response, so a dropped grant or wedged slave
+    /// degrades to a reported error instead of hanging the issuing IP
+    /// forever.
     ///
-    /// # Panics
-    /// Panics on a zero timeout.
+    /// A zero timeout fails the build with [`BuildError::ZeroWatchdog`].
     pub fn watchdog(mut self, timeout: u64) -> Self {
         self.watchdog = Some(timeout);
         self
@@ -357,6 +357,18 @@ impl SocBuilder {
     pub fn try_build(self) -> Result<Soc, BuildError> {
         if self.resume.is_some() && self.journal.is_none() {
             return Err(BuildError::ResumeWithoutJournal);
+        }
+        if self.watchdog == Some(0) {
+            return Err(BuildError::ZeroWatchdog);
+        }
+        if self.journal.is_some_and(|(interval, _)| interval == 0) {
+            return Err(BuildError::ZeroJournalInterval);
+        }
+        if self.ic_cache == Some(0) {
+            return Err(BuildError::ZeroIcCache);
+        }
+        if self.trace_capacity == Some(0) {
+            return Err(BuildError::ZeroTraceCapacity);
         }
         let mut bus = SharedBus::new(self.bus_config, self.arbiter);
         let tracer = self.trace_capacity.map(Tracer::new);
@@ -510,9 +522,6 @@ impl SocBuilder {
         if let Some(q) = self.quarantine_cycles {
             monitor = monitor.with_quarantine(q);
         }
-        if let Some(w) = self.watchdog {
-            monitor = monitor.with_watchdog(w);
-        }
 
         if let Some(t) = &tracer {
             bus.set_tracer(t.clone());
@@ -544,7 +553,9 @@ impl SocBuilder {
             faults: FaultPlan::empty(),
             retry: self.retry,
             auto_recover: self.auto_recover,
-            track_issues: self.watchdog.is_some() || self.retry.is_some(),
+            watchdog: self.watchdog,
+            watch_floor: Cycle(u64::MAX),
+            watch_floor_stale: false,
             recovery_rng: SimRng::new(0x5ec_b05).derive("soc.recovery"),
             security: self.security,
             stats: Stats::slotted(SocCounter::KEYS, SocHistogram::KEYS),
@@ -570,6 +581,14 @@ pub enum BuildError {
     /// [`SocBuilder::journal`] configuration: recovery replays the
     /// write-ahead journal, so a resume without one cannot be sound.
     ResumeWithoutJournal,
+    /// [`SocBuilder::watchdog`] was given a zero timeout.
+    ZeroWatchdog,
+    /// [`SocBuilder::journal`] was given a zero checkpoint interval.
+    ZeroJournalInterval,
+    /// [`SocBuilder::ic_cache`] was given zero entries.
+    ZeroIcCache,
+    /// [`SocBuilder::trace`] was given a zero capacity.
+    ZeroTraceCapacity,
 }
 
 impl fmt::Display for BuildError {
@@ -578,6 +597,10 @@ impl fmt::Display for BuildError {
             BuildError::ResumeWithoutJournal => {
                 write!(f, "resume_from requires SocBuilder::journal")
             }
+            BuildError::ZeroWatchdog => write!(f, "watchdog timeout must be positive"),
+            BuildError::ZeroJournalInterval => write!(f, "journal interval must be positive"),
+            BuildError::ZeroIcCache => write!(f, "ic_cache needs a positive capacity"),
+            BuildError::ZeroTraceCapacity => write!(f, "trace capacity must be positive"),
         }
     }
 }
@@ -600,8 +623,7 @@ pub(crate) struct MasterSlot {
     /// compares against this instead of asking again before it.
     halted: bool,
     pub(crate) firewall: Option<LocalFirewall>,
-    /// Transactions on the bus whose response needs a verdict stamp, the
-    /// inbound read check, or the watchdog/retry path.
+    /// One record per transaction this interface has on the bus.
     inflight: InFlightTable,
     /// Responses maturing through the inbound check delay.
     inbound: VecDeque<(u64, Response)>,
@@ -626,7 +648,6 @@ pub(crate) struct SlaveSlot {
 /// inbound check, and synthesizes discard responses for violations.
 struct PortAdapter<'a> {
     bus: &'a mut SharedBus,
-    monitor: &'a mut SecurityMonitor,
     firewall: Option<&'a mut LocalFirewall>,
     master: MasterId,
     inflight: &'a mut InFlightTable,
@@ -637,35 +658,25 @@ struct PortAdapter<'a> {
     tracer: Option<&'a Tracer>,
     /// DIFT taint state, when armed.
     taint: Option<&'a mut TaintEngine>,
-    /// Whether to remember issued transactions (watchdog/retry armed).
-    track: bool,
+    /// The watchdog timeout, when armed, and the system's watch floor.
+    watchdog: Option<u64>,
+    watch_floor: &'a mut Cycle,
     now: Cycle,
 }
 
 impl PortAdapter<'_> {
-    /// Remember a transaction that actually went on the bus, when its
-    /// response will need it (a verdict stamp, the inbound read check, or
-    /// the armed watchdog/retry path), and start its watchdog timer.
-    /// Discards synthesized at the interface never come through here —
-    /// nothing is outstanding for them.
-    fn track_issue(
-        &mut self,
-        txn: Transaction,
-        firewall: Option<FirewallId>,
-        verdict_at: Option<u64>,
-        read_check: bool,
-    ) {
-        if self.track || verdict_at.is_some() || read_check {
-            self.inflight.insert(InFlight {
-                txn,
-                verdict_at,
-                read_check,
-                tracked: self.track,
-            });
-        }
-        if self.track {
-            self.monitor.watch(&txn, firewall, self.now);
-        }
+    /// Remember a transaction that actually went on the bus, and start
+    /// its watchdog timer when one is armed. Discards synthesized at the
+    /// interface never come through here — nothing is outstanding for
+    /// them.
+    fn track_issue(&mut self, txn: Transaction, verdict_at: Option<u64>, read_check: bool) {
+        let watch = arm_watch(self.watchdog, self.watch_floor, txn.id, self.now);
+        self.inflight.insert(InFlight {
+            txn,
+            verdict_at,
+            read_check,
+            watch,
+        });
     }
 
     /// DIFT read hook: the master joins the source tag of what it just
@@ -777,6 +788,15 @@ impl PortAdapter<'_> {
     }
 }
 
+/// The watch on an attempt issued under `id` at `now`, with `floor`
+/// lowered to its deadline; `None` without a watchdog.
+#[inline]
+fn arm_watch(watchdog: Option<u64>, floor: &mut Cycle, id: TxnId, now: Cycle) -> Option<Watch> {
+    let timeout = watchdog?;
+    *floor = (*floor).min(now + timeout);
+    Some(Watch { id, at: now })
+}
+
 /// Fold one declared wake `at` into the running minimum `next`; a wake
 /// at or before `now` means its component is due this cycle (`None`).
 #[inline]
@@ -866,7 +886,6 @@ impl MasterAccess for PortAdapter<'_> {
                 }
                 // Re-issue through the bus with delayed eligibility; we
                 // burn the probe id to keep the id space monotone.
-                let fw_id = fw.id();
                 self.taint_commit_write(addr, bytes);
                 let real = self.bus.issue_at(
                     self.master,
@@ -880,24 +899,18 @@ impl MasterAccess for PortAdapter<'_> {
                 );
                 let txn = Transaction { id: real, ..access };
                 self.trace_issue(&txn);
-                self.track_issue(
-                    txn,
-                    Some(fw_id),
-                    Some(self.now.get() + decision.latency),
-                    false,
-                );
+                self.track_issue(txn, Some(self.now.get() + decision.latency), false);
                 real
             }
             // Reads: issued immediately; data checked on the way back.
-            (Some(fw), Op::Read) => {
-                let fw_id = fw.id();
+            (Some(_), Op::Read) => {
                 let id = self
                     .bus
                     .issue(self.master, op, addr, width, data, burst, self.now);
                 let txn = Transaction { id, ..access };
                 self.trace_issue(&txn);
                 self.taint_read(addr, bytes);
-                self.track_issue(txn, Some(fw_id), None, true);
+                self.track_issue(txn, None, true);
                 id
             }
             // Unprotected master: straight to the bus.
@@ -907,7 +920,7 @@ impl MasterAccess for PortAdapter<'_> {
                     .issue(self.master, op, addr, width, data, burst, self.now);
                 let txn = Transaction { id, ..access };
                 self.trace_issue(&txn);
-                // DIFT without a firewall: taint is still tracked, but
+                // DIFT without a firewall: taint still propagates, but
                 // there is nothing to raise an alert through and nothing
                 // to block with — a sink reach is *counted* and let
                 // through, which is exactly the bare-mode damage metric.
@@ -930,7 +943,7 @@ impl MasterAccess for PortAdapter<'_> {
                         self.taint_commit_write(addr, bytes);
                     }
                 }
-                self.track_issue(txn, None, None, false);
+                self.track_issue(txn, None, false);
                 id
             }
         }
@@ -957,9 +970,17 @@ pub struct Soc {
     faults: FaultPlan,
     retry: Option<RetryPolicy>,
     auto_recover: Option<AutoRecover>,
-    /// Whether master interfaces remember issued transactions
-    /// (watchdog/retry armed at build time).
-    track_issues: bool,
+    /// The watchdog timeout in cycles, when armed: each master's
+    /// in-flight records carry the attempts it times.
+    watchdog: Option<u64>,
+    /// No watched deadline lies below this cycle (`u64::MAX` when none
+    /// can): arming a watch lowers it, and tick step 1b checks it with
+    /// one compare and resets it to the exact minimum when it scans.
+    watch_floor: Cycle,
+    /// A watched record was settled since the floor was last exact, so
+    /// the floor may lie below every remaining deadline. The skip search
+    /// rescans when such a floor could set its jump.
+    watch_floor_stale: bool,
     /// Deterministic key stream for auto-recovery rekeys.
     recovery_rng: SimRng,
     security: bool,
@@ -1031,37 +1052,10 @@ impl Soc {
         //     cancelled everywhere it might still live (bus queues, slave
         //     service) and a synthesized timeout error takes its place,
         //     so a lost grant or wedged slave degrades to a reported
-        //     error instead of hanging the issuing IP forever.
-        let expired = self.monitor.expire(now);
-        for expiry in expired {
-            let Some(midx) = self
-                .masters
-                .iter()
-                .position(|m| m.bus_id == expiry.txn.master)
-            else {
-                continue;
-            };
-            self.stats.incr_slot(SocCounter::WatchdogCancels);
-            self.bus.cancel_inflight(expiry.txn.id);
-            for slave in &mut self.slaves {
-                if slave
-                    .pending
-                    .as_ref()
-                    .is_some_and(|(_, r)| r.txn == expiry.txn.id)
-                {
-                    slave.pending = None;
-                }
-            }
-            if let Some(fw) = self.masters[midx].firewall.as_mut() {
-                fw.raise_alert(&expiry.txn, Violation::WatchdogTimeout, now);
-            }
-            let synth = Response {
-                txn: expiry.txn.id,
-                data: 0,
-                result: Err(BusError::Timeout),
-                completed_at: now,
-            };
-            self.route_response(midx, synth, now);
+        //     error instead of hanging the issuing IP forever. Nothing
+        //     is due below the floor (every tick of a healthy run).
+        if now >= self.watch_floor {
+            self.expire_watches(now);
         }
 
         // 2. Mature inbound responses.
@@ -1088,7 +1082,6 @@ impl Soc {
             {
                 let mut port = PortAdapter {
                     bus: &mut self.bus,
-                    monitor: &mut self.monitor,
                     firewall: slot.firewall.as_mut(),
                     master: slot.bus_id,
                     inflight: &mut slot.inflight,
@@ -1097,7 +1090,8 @@ impl Soc {
                     stats: &mut self.stats,
                     tracer: self.tracer.as_ref(),
                     taint: self.taint.as_mut(),
-                    track: self.track_issues,
+                    watchdog: self.watchdog,
+                    watch_floor: &mut self.watch_floor,
                     now,
                 };
                 device.tick(&mut port, now);
@@ -1246,6 +1240,62 @@ impl Soc {
         self.stats.incr_slot(SocCounter::Cycles);
     }
 
+    /// Tick step 1b past the watch floor: collect every watched attempt
+    /// due at `now` from every master's in-flight table, reset the floor
+    /// to the earliest deadline left, and time each due attempt out in
+    /// ascending bus id, the order the attempts were issued and watched
+    /// (every id comes from the bus's one counter, and a retry gets a
+    /// fresh one).
+    fn expire_watches(&mut self, now: Cycle) {
+        let mut due = Vec::new();
+        let mut floor = Cycle(u64::MAX);
+        for (deadline, midx, attempt) in self.watched() {
+            if deadline <= now {
+                due.push((midx, attempt));
+            } else {
+                floor = floor.min(deadline);
+            }
+        }
+        self.watch_floor = floor;
+        due.sort_unstable_by_key(|(_, attempt)| attempt.id);
+        if !due.is_empty() {
+            self.monitor.count_watchdog_timeouts(due.len() as u64);
+        }
+        for (midx, attempt) in due {
+            self.stats.incr_slot(SocCounter::WatchdogCancels);
+            self.bus.cancel_inflight(attempt.id);
+            for slave in &mut self.slaves {
+                slave.pending.take_if(|(_, r)| r.txn == attempt.id);
+            }
+            if let Some(fw) = self.masters[midx].firewall.as_mut() {
+                fw.raise_alert(&attempt, Violation::WatchdogTimeout, now);
+            }
+            let synth = Response {
+                txn: attempt.id,
+                data: 0,
+                result: Err(BusError::Timeout),
+                completed_at: now,
+            };
+            self.route_response(midx, synth, now);
+        }
+        // Settling the due records above left the floor exact: retries
+        // lowered it to their own deadlines.
+        self.watch_floor_stale = false;
+    }
+
+    /// Every watched attempt, as (deadline, master index, attempt).
+    fn watched(&self) -> impl Iterator<Item = (Cycle, usize, Transaction)> + '_ {
+        self.watchdog.into_iter().flat_map(move |timeout| {
+            self.masters
+                .iter()
+                .enumerate()
+                .flat_map(move |(midx, slot)| {
+                    let watches = slot.inflight.watches(timeout);
+                    watches.map(move |(deadline, attempt)| (deadline, midx, attempt))
+                })
+        })
+    }
+
     /// Kill power now: every subsequent cycle is dead time. Volatile
     /// state (tree roots, timestamp tables, in-flight transactions) is
     /// lost; only the DDR ciphertext, the [`PersistentState`] and the
@@ -1271,12 +1321,12 @@ impl Soc {
         // issued (and the inbound check finds its outstanding read).
         let (orig, attempts, record) = slot.inflight.take(arrived);
         resp.txn = orig;
-        self.monitor.resolve(arrived);
+        self.watch_floor_stale |= record.is_some_and(|r| r.watch.is_some());
         let transient = matches!(resp.result, Err(BusError::Slave) | Err(BusError::Timeout));
         if transient {
             if let Some(policy) = self.retry {
                 if attempts < policy.max_attempts {
-                    if let Some(record) = record.filter(|r| r.tracked) {
+                    if let Some(record) = record {
                         let orig_txn = record.txn;
                         let backoff = policy.base_backoff << attempts.min(32);
                         // A retry must respect admission control like any
@@ -1294,14 +1344,13 @@ impl Soc {
                             now + backoff,
                         );
                         if let Some(retry_id) = retry_id {
-                            let retry_txn = Transaction {
-                                id: retry_id,
-                                issued_at: now,
-                                ..orig_txn
-                            };
-                            slot.inflight.retry(record, retry_id, attempts + 1);
-                            let fw = slot.firewall.as_ref().map(|f| f.id());
-                            self.monitor.watch(&retry_txn, fw, now);
+                            let watch =
+                                arm_watch(self.watchdog, &mut self.watch_floor, retry_id, now);
+                            slot.inflight.retry(
+                                InFlight { watch, ..record },
+                                retry_id,
+                                attempts + 1,
+                            );
                             self.stats.incr_slot(SocCounter::Retries);
                             if let Some(t) = &self.tracer {
                                 t.record(
@@ -1321,7 +1370,7 @@ impl Soc {
         }
         // Final delivery: account the retry outcome, then run the inbound
         // ("before reaching the IP") check as usual.
-        let issued = record.filter(|r| r.tracked).map(|r| r.txn);
+        let issued = record.map(|r| r.txn);
         if attempts > 0 {
             if let Some(orig) = issued {
                 self.stats.record_slot(
@@ -1335,7 +1384,6 @@ impl Soc {
         }
         let mut verdict_at = record.and_then(|r| r.verdict_at);
         let outstanding = record.filter(|r| r.read_check).map(|r| r.txn);
-        let issued_at = issued.or(outstanding).map(|t| t.issued_at);
         let ready_at = match (slot.firewall.as_mut(), outstanding) {
             (Some(fw), Some(txn)) => {
                 // "all data are checked before reaching the IP"
@@ -1363,7 +1411,7 @@ impl Soc {
                 .record_slot(SocHistogram::VerdictToComplete, ready_at.saturating_sub(at));
         }
         if let Some(t) = &self.tracer {
-            let latency = issued_at.map_or(0, |at| ready_at.saturating_sub(at.get()));
+            let latency = issued.map_or(0, |t| ready_at.saturating_sub(t.issued_at.get()));
             t.record(
                 now,
                 TraceEvent::TxnComplete {
@@ -1674,7 +1722,7 @@ impl Soc {
         let wake = |next: Cycle, at: Cycle| fold_wake(now, next, at);
         // Tick steps 2–3 per master, first: under saturation some device
         // is due every cycle, and this is the cheapest way to find it
-        // (the checks below include a scan of the watchdog's list). The
+        // (the checks below can include a scan of the watched records). The
         // master that ended the last search is asked before the pass:
         // under a flood it is the flood, which the pass reaches last.
         if let Some(slot) = self.masters.get(self.wake_hint) {
@@ -1698,10 +1746,6 @@ impl Soc {
         // orphans force a real tick.
         if self.bus.has_queued_responses() || self.bus.has_orphans() {
             return None;
-        }
-        // Tick step 1b: watchdog expiry deadlines.
-        if let Some(at) = self.monitor.next_watchdog_deadline() {
-            next = wake(next, at)?;
         }
         // Tick step 4: the bus.
         match self.bus.quiescence(now) {
@@ -1748,7 +1792,16 @@ impl Soc {
         if let Some(at) = self.reconfig.next_ready() {
             next = wake(next, at)?;
         }
-        Some(next)
+        // Tick step 1b, last: the watchdog floor. A stale floor (a
+        // watched record was settled since the last scan) is rescanned
+        // only when it lies below every other wake, where it could set
+        // the jump; otherwise no deadline it bounds can.
+        if self.watch_floor_stale && self.watch_floor < next {
+            let earliest = self.watched().map(|(deadline, ..)| deadline).min();
+            self.watch_floor = earliest.unwrap_or(Cycle(u64::MAX));
+            self.watch_floor_stale = false;
+        }
+        wake(next, self.watch_floor)
     }
 
     /// Tick steps 2–3 for one master: its declared wakes folded into
@@ -2607,6 +2660,323 @@ mod tests {
         assert_eq!(soc.bram_contents().unwrap()[0], 42);
         assert_eq!(soc.stats().counter("soc.retries"), 1);
         assert_eq!(soc.stats().counter("soc.retry_successes"), 1);
+    }
+
+    /// A test IP that issues one word write to `addr` at each listed
+    /// cycle and drains whatever answers come back.
+    struct Scripted {
+        at: VecDeque<u64>,
+        addr: u32,
+        stats: Stats,
+    }
+
+    impl Scripted {
+        fn boxed(addr: u32, at: &[u64]) -> Box<dyn BusMaster> {
+            Box::new(Scripted {
+                at: at.iter().copied().collect(),
+                addr,
+                stats: Stats::new(),
+            })
+        }
+    }
+
+    impl BusMaster for Scripted {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn tick(&mut self, mem: &mut dyn MasterAccess, now: Cycle) {
+            while mem.poll().is_some() {}
+            if self.at.front() == Some(&now.get()) {
+                self.at.pop_front();
+                mem.issue(Op::Write, self.addr, Width::Word, 1, 1);
+            }
+        }
+
+        fn next_wake(&self, _now: Cycle) -> Wake {
+            match self.at.front() {
+                Some(&at) => Wake::At(Cycle(at)),
+                None => Wake::Waiting,
+            }
+        }
+
+        fn label(&self) -> &str {
+            "scripted"
+        }
+
+        fn stats(&self) -> &Stats {
+            &self.stats
+        }
+    }
+
+    /// Every watched attempt in `soc`, as (deadline, bus id, master).
+    fn watch_list(soc: &Soc) -> Vec<(u64, u64, u8)> {
+        let mut w: Vec<_> = soc
+            .watched()
+            .map(|(deadline, _, a)| (deadline.get(), a.id.0, a.master.0))
+            .collect();
+        w.sort_unstable();
+        w
+    }
+
+    fn timeout_key(soc: &Soc) -> Option<u64> {
+        soc.monitor()
+            .stats()
+            .counters()
+            .find(|(k, _)| *k == "monitor.watchdog_timeouts")
+            .map(|(_, v)| v)
+    }
+
+    /// Two scripted IPs on one BRAM behind a 100-cycle watchdog: master
+    /// 0 writes at cycle 1 and is answered within a few cycles; master
+    /// 1, behind a Local Firewall, writes at cycle 20 and its grant is
+    /// lost. Watch deadlines: 101 (answered early), then 120.
+    fn answered_then_lost(core: SimCore) -> Soc {
+        use secbus_fault::{FaultEvent, FaultKind};
+        let mut soc = SocBuilder::new()
+            .watchdog(100)
+            .add_master(Scripted::boxed(BRAM_BASE, &[1]))
+            .add_protected_master(
+                Scripted::boxed(BRAM_BASE + 4, &[20]),
+                ConfigMemory::with_policies(vec![rw_policy(1, BRAM_BASE, 0x1000)]).unwrap(),
+            )
+            .add_bram(
+                "bram",
+                AddrRange::new(BRAM_BASE, 0x1000),
+                Bram::new(0x1000),
+                None,
+            )
+            .build();
+        soc.set_sim_core(core);
+        soc.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
+            at: Cycle(20),
+            kind: FaultKind::BusLoseGrant,
+        }]));
+        soc
+    }
+
+    #[test]
+    fn watchdog_times_out_only_the_unanswered_attempt() {
+        for core in [SimCore::Stepped, SimCore::Event] {
+            let mut soc = answered_then_lost(core);
+            soc.run(30);
+            assert_eq!(
+                watch_list(&soc),
+                [(120, 2, 1)],
+                "{core:?}: the answer ended its watch"
+            );
+            soc.run(1_000);
+            assert!(watch_list(&soc).is_empty());
+            assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 1, "{core:?}");
+            let alerts: Vec<_> = soc.monitor().log().iter().collect();
+            assert_eq!(alerts.len(), 1, "{core:?}");
+            let (at, alert) = alerts[0];
+            assert_eq!(alert.violation, Violation::WatchdogTimeout);
+            assert_eq!(
+                (at.get(), alert.txn.id, alert.txn.issued_at),
+                (120, TxnId(2), Cycle(20)),
+                "{core:?}: the alert carries the attempt"
+            );
+        }
+    }
+
+    /// A scan at a stale floor expires nothing and writes no key; the
+    /// key, once written, counts exactly the cancels.
+    #[test]
+    fn an_empty_watch_scan_writes_no_key() {
+        let mut soc = answered_then_lost(SimCore::Stepped);
+        soc.run(110);
+        assert_eq!(
+            soc.watch_floor,
+            Cycle(120),
+            "the scan at 101 made the floor exact"
+        );
+        assert_eq!(timeout_key(&soc), None);
+        soc.run(100);
+        assert_eq!(timeout_key(&soc), Some(1));
+        assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 1);
+    }
+
+    /// Once the earliest watched transaction is answered, the event core
+    /// skips to the next deadline (120) without a tick at the stale
+    /// floor (101).
+    #[test]
+    fn event_core_wakes_at_the_next_deadline_not_the_answered_one() {
+        let mut soc = answered_then_lost(SimCore::Event);
+        // Past master 1's lost grant at cycle 32 (its write waits out
+        // the firewall's 12-cycle check).
+        soc.run(40);
+        let before = soc.ticks_executed();
+        soc.run(110);
+        assert_eq!(soc.now(), Cycle(150));
+        assert_eq!(soc.ticks_executed() - before, 2, "ticks at 40 and 120 only");
+        assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 1);
+    }
+
+    /// Both deadlines at cycle 101: master 1's retry, watched in tick
+    /// step 1b at cycle 51 after its first attempt lost its grant, and
+    /// master 0's write issued in step 3 of that cycle and stalled at
+    /// the slave. They time out in bus id order, the retry first,
+    /// although master 0 comes first in the master order.
+    #[test]
+    fn expiries_due_together_come_out_in_bus_id_order() {
+        use secbus_fault::{FaultEvent, FaultKind};
+        for core in [SimCore::Stepped, SimCore::Event] {
+            let mut soc = SocBuilder::new()
+                .watchdog(50)
+                .retry(RetryPolicy::default())
+                .trace(1024)
+                .add_master(Scripted::boxed(BRAM_BASE, &[51]))
+                .add_master(Scripted::boxed(BRAM_BASE + 4, &[1]))
+                .add_bram(
+                    "bram",
+                    AddrRange::new(BRAM_BASE, 0x1000),
+                    Bram::new(0x1000),
+                    None,
+                )
+                .build();
+            soc.set_sim_core(core);
+            soc.attach_fault_plan(FaultPlan::new(vec![
+                FaultEvent {
+                    at: Cycle(1),
+                    kind: FaultKind::BusLoseGrant,
+                },
+                FaultEvent {
+                    at: Cycle(51),
+                    kind: FaultKind::SlaveStall {
+                        slave: 0,
+                        extra_cycles: 1_000,
+                    },
+                },
+            ]));
+            soc.run(52);
+            // Master 1's first write is id 0; its retry took id 1 in step
+            // 1b, ahead of master 0's write, id 2, in step 3.
+            assert_eq!(watch_list(&soc), [(101, 1, 1), (101, 2, 0)], "{core:?}");
+            soc.run(100);
+            let retransmits: Vec<(u64, u64)> = soc
+                .tracer()
+                .unwrap()
+                .snapshot()
+                .into_iter()
+                .filter_map(|(at, ev)| match ev {
+                    TraceEvent::Retransmit { id, .. } => Some((at.get(), id)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(retransmits, [(51, 0), (101, 0), (101, 2)], "{core:?}");
+            assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 3);
+        }
+    }
+
+    /// A transaction retried after a transient slave error is timed from
+    /// its retry: its first deadline never fires, and the retry's, once
+    /// that retry's grant is lost, fires once and alerts under the
+    /// retry's bus id and issue cycle.
+    #[test]
+    fn a_retried_transaction_times_out_only_on_its_retry() {
+        use secbus_fault::{FaultEvent, FaultKind};
+        // A 0x100-byte BRAM behind a 0x1000-byte window: the write lands
+        // past its end and answers with a transient slave error.
+        let mut soc = SocBuilder::new()
+            .watchdog(50)
+            .retry(RetryPolicy::default())
+            .add_protected_master(
+                Scripted::boxed(BRAM_BASE + 0x200, &[1]),
+                ConfigMemory::with_policies(vec![rw_policy(1, BRAM_BASE, 0x1000)]).unwrap(),
+            )
+            .add_bram(
+                "bram",
+                AddrRange::new(BRAM_BASE, 0x1000),
+                Bram::new(0x100),
+                None,
+            )
+            .build();
+        while soc.stats().counter("soc.retries") == 0 {
+            soc.tick();
+        }
+        let retried_at = soc.now().get() - 1;
+        let [(deadline, retry_id, 0)] = watch_list(&soc)[..] else {
+            panic!("one watched retry: {:?}", watch_list(&soc));
+        };
+        assert_eq!(deadline, retried_at + 50);
+        assert!(
+            retried_at < 51,
+            "the first attempt's deadline is still ahead"
+        );
+        // The retry is the next grant: lose it.
+        soc.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
+            at: soc.now(),
+            kind: FaultKind::BusLoseGrant,
+        }]));
+        soc.run(500);
+        assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 1);
+        let timeouts: Vec<_> = soc
+            .monitor()
+            .log()
+            .iter()
+            .filter(|(_, a)| a.violation == Violation::WatchdogTimeout)
+            .map(|(at, a)| (at.get(), a.txn.id.0, a.txn.issued_at.get()))
+            .collect();
+        assert_eq!(timeouts, [(deadline, retry_id, retried_at)]);
+        assert!(watch_list(&soc).is_empty());
+    }
+
+    /// Without a watchdog no record carries a watch, the floor stays at
+    /// its ceiling and no timeout key appears, even with a transaction
+    /// lost on the bus for good.
+    #[test]
+    fn without_a_watchdog_no_record_is_watched() {
+        use secbus_fault::{FaultEvent, FaultKind};
+        let mut soc = SocBuilder::new()
+            .retry(RetryPolicy::default())
+            .add_master(Scripted::boxed(BRAM_BASE, &[1, 5]))
+            .add_bram(
+                "bram",
+                AddrRange::new(BRAM_BASE, 0x1000),
+                Bram::new(0x1000),
+                None,
+            )
+            .build();
+        soc.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
+            at: Cycle(1),
+            kind: FaultKind::BusLoseGrant,
+        }]));
+        soc.run(1_000);
+        let records: Vec<_> = soc.masters[0].inflight.watches(1).collect();
+        assert!(records.is_empty());
+        let lost = soc.masters[0].inflight.take(TxnId(0)).2;
+        assert_eq!(
+            lost.map(|r| r.watch),
+            Some(None),
+            "the lost write is on record, unwatched"
+        );
+        assert_eq!(soc.watch_floor, Cycle(u64::MAX));
+        assert_eq!(timeout_key(&soc), None);
+        assert_eq!(soc.stats().counter("soc.watchdog_cancels"), 0);
+    }
+
+    #[test]
+    fn zero_settings_are_typed_build_errors() {
+        let zero = [
+            (SocBuilder::new().watchdog(0), BuildError::ZeroWatchdog),
+            (
+                SocBuilder::new().journal(0, [0; 16]),
+                BuildError::ZeroJournalInterval,
+            ),
+            (SocBuilder::new().ic_cache(0), BuildError::ZeroIcCache),
+            (SocBuilder::new().trace(0), BuildError::ZeroTraceCapacity),
+        ];
+        for (builder, err) in zero {
+            assert_eq!(builder.try_build().err(), Some(err));
+        }
+        assert!(SocBuilder::new().quarantine(0).try_build().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "watchdog timeout must be positive")]
+    fn build_panics_with_the_build_error() {
+        SocBuilder::new().watchdog(0).build();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every soak's JSON report, for the default seed and seeds 1
-# and 7, the `secbus observe --metrics` snapshot, the stdout of every
+# and 7, the `secbus observe --metrics` snapshot, the Chrome traces of
+# `secbus observe` with and without `--attack`, the stdout of every
 # report binary that takes no arguments and the stdout of every example
 # into target/golden/ (one file per report and seed). Pin them against
 # the recorded digests from the repository root with:
@@ -28,6 +29,8 @@ for soak in crash_soak "chaos_soak --smoke" "noc_soak --smoke" "campaign_soak --
   done
 done
 "$bin/secbus" observe --metrics > "$out/observe-metrics.txt"
+"$bin/secbus" observe --trace-out "$out/observe-trace.json" > /dev/null
+"$bin/secbus" observe --attack --trace-out "$out/observe-attack-trace.json" > /dev/null
 
 for report in ablation_cache ablation_dos ablation_rules ablation_traffic ablation_tree \
     attacks baseline_compare casestudy_run energy_report fig1 noc_compare table1 table2 \

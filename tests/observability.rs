@@ -1,13 +1,15 @@
 //! The observability spine end to end: trace events stay accountable
 //! under bound pressure, the metrics snapshot is deterministic and
-//! key-sorted, and the security monitor's accounting fixes hold at
-//! system level (monotonic `alerts_from`, re-armed watchdog watches,
-//! no phantom timeout counters).
+//! key-sorted, the security monitor's accounting fixes hold at system
+//! level (monotonic `alerts_from`), and every completed transaction
+//! traces its latency from issue.
 
 use secbus_core::SbTiming;
 use secbus_sim::metrics::is_key_sorted;
 use secbus_sim::{Cycle, Json, SimRng, TraceEvent, Tracer};
-use secbus_soc::casestudy::{case_study, CaseResilience, CaseStudyConfig};
+use secbus_soc::casestudy::{
+    case_study, CaseResilience, CaseStudyConfig, CPU1_PROGRAM, CPU2_PROGRAM,
+};
 
 // ---- trace spine: lossless accounting under bound pressure ----
 
@@ -174,37 +176,63 @@ fn alerts_from_survives_quarantine_while_budget_resets() {
     }
 }
 
-/// A transaction re-issued under the same id re-arms its watchdog watch
-/// instead of leaking a duplicate entry, and expiring nothing records
-/// nothing.
-#[test]
-fn watchdog_watch_rearms_and_empty_expiry_is_silent() {
-    use secbus_bus::{MasterId, Op, Transaction, TxnId, Width};
-    use secbus_core::SecurityMonitor;
+/// The trace `secbus observe` exports: the case study with the spine
+/// armed and no resilience stack, with or without its `--attack`
+/// hijack of cpu0 into an out-of-policy write.
+fn observe_trace(attack: bool) -> Vec<(Cycle, TraceEvent)> {
+    let programs = attack.then(|| {
+        [
+            r"
+            li  r1, 0x80080000
+            addi r2, r0, 99
+            sw  r2, 0(r1)   ; violates cpu0's read-only rule -> alert
+            halt
+            "
+            .to_string(),
+            CPU1_PROGRAM.to_string(),
+            CPU2_PROGRAM.to_string(),
+        ]
+    });
+    let mut soc = case_study(CaseStudyConfig {
+        programs,
+        trace: Some(16_384),
+        ..Default::default()
+    });
+    soc.run_until_halt(2_000_000);
+    let tracer = soc.tracer().expect("trace armed");
+    assert_eq!(tracer.dropped(), 0, "the whole run is retained");
+    tracer.snapshot()
+}
 
-    let mut monitor = SecurityMonitor::new(0).with_watchdog(10);
-    let txn = Transaction {
-        id: TxnId(7),
-        master: MasterId(0),
-        op: Op::Read,
-        addr: 0x2000_0000,
-        width: Width::Word,
-        data: 0,
-        burst: 1,
-        issued_at: Cycle(0),
-    };
-    monitor.watch(&txn, None, Cycle(0));
-    // Re-watching the same id later re-arms (replaces) the entry.
-    monitor.watch(&txn, None, Cycle(8));
-    // At the original deadline nothing fires (the watch moved)...
-    assert!(monitor.expire(Cycle(11)).is_empty());
-    assert_eq!(
-        monitor.stats().counter("monitor.watchdog_timeouts"),
-        0,
-        "empty expiry must not touch the counter"
-    );
-    // ...and the re-armed deadline fires exactly once.
-    let expired = monitor.expire(Cycle(19));
-    assert_eq!(expired.len(), 1, "one watch, not a duplicate");
-    assert_eq!(monitor.stats().counter("monitor.watchdog_timeouts"), 1);
+/// Every transaction answered over the bus traces the cycles it took:
+/// a completed write's `TxnComplete.latency` is its completion cycle
+/// minus its `TxnIssued` cycle, and no successful transaction reads 0.
+/// Writes once kept their issue cycle only with a watchdog or retry
+/// armed, so without one each traced a latency of 0.
+#[test]
+fn completed_transactions_trace_their_latency_from_issue() {
+    for attack in [false, true] {
+        let events = observe_trace(attack);
+        let mut issued = std::collections::HashMap::new();
+        let mut writes = 0;
+        for &(at, ref event) in &events {
+            match *event {
+                TraceEvent::TxnIssued { txn, write, .. } => {
+                    issued.insert(txn, (at, write));
+                }
+                TraceEvent::TxnComplete {
+                    txn, ok, latency, ..
+                } => {
+                    assert!(!ok || latency > 0, "txn {txn} (attack: {attack})");
+                    let (issued_at, write) = issued[&txn];
+                    if write && ok {
+                        assert_eq!(latency, at.get() - issued_at.get(), "txn {txn}");
+                        writes += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(writes > 0, "the case study writes over the bus");
+    }
 }
