@@ -24,7 +24,7 @@ pub mod arbiter;
 pub mod bus;
 pub mod txn;
 
-pub use addrmap::{AddrRange, AddressMap};
+pub use addrmap::{AddrRange, AddressMap, OverlapError};
 pub use arbiter::{Arbiter, FixedPriority, RoundRobin, Tdma};
 pub use bus::{
     BusConfig, BusCounter, BusHistogram, BusQuiet, BusTrace, OrphanCompletion, SharedBus,

@@ -35,9 +35,14 @@ pub trait BusMaster: Send {
 
     /// Declare when the next `tick` can change state (the event-driven
     /// core's skip seam; see `secbus_sim::Wake` for the purity
-    /// contract). The default is the conservative `Wake::Now` — a
-    /// device that does not implement this is simply ticked every
-    /// cycle, exactly as under the stepped core.
+    /// contract). The event core skips whole idle cycles by it, and
+    /// inside a cycle it executes it skips this device's tick when the
+    /// declaration says it is not due. It asks once, right after each
+    /// tick, with `now` the next cycle, and keeps the answer until the
+    /// device's next tick, so the answer must hold until then: a device
+    /// changes state only inside its own tick. The default is the
+    /// conservative `Wake::Now` — a device that does not implement this
+    /// is simply ticked every cycle, exactly as under the stepped core.
     fn next_wake(&self, _now: Cycle) -> Wake {
         Wake::Now
     }

@@ -6,7 +6,14 @@
 //! event-driven core inverts the relationship: components *declare*
 //! their next interesting cycle through [`Wake`], and whenever the
 //! fabric is provably idle the run loop fast-forwards simulated `now`
-//! to the earliest declared wake.
+//! to the earliest declared wake. Inside a cycle it does execute, it
+//! also skips the tick of each single component that is not due, by
+//! the same declaration.
+//!
+//! A component changes state only inside its own tick, so a declaration
+//! read right after a tick holds until that component's next tick. That
+//! is what lets the event core read each declaration once, after the
+//! tick, and cache it for both uses.
 //!
 //! Two invariants make the skip *equivalence-preserving* rather than
 //! merely fast:
@@ -27,7 +34,11 @@ use crate::cycle::Cycle;
 
 /// What a component will do on future ticks, as declared by the
 /// component itself. The run loop uses this to decide whether ticking
-/// the component can be skipped.
+/// the component can be skipped: on a whole cycle it skips, and on its
+/// own inside a cycle it executes. A declaration read right after the
+/// component's tick must hold until its next tick, whatever happens
+/// elsewhere in between (the caller pairs [`Wake::Waiting`] with the
+/// input queue it owns).
 ///
 /// The contract is about *purity of `tick`*, not about liveness:
 ///

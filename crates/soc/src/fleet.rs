@@ -5,14 +5,18 @@
 //! (Fig. 1). [`SocBuilder::try_build`] allocates those ids in fleet
 //! order (master LFs in master order, then slave-side LFs in slave
 //! order, then the LCF's embedded LF) and records here where each one
-//! lives, so `FirewallId(k)` is the `k`-th member. Fleet-wide walks
-//! (tracer wiring, the alert drain, stats, metrics, audit, epoch
-//! commits) and lookups by id (blocks, releases, recovery, scheduled
-//! updates, policy corruption) all go through this index.
+//! lives, so `FirewallId(k)` is the `k`-th member.
 //!
-//! The index holds positions only. A lookup borrows the slot vectors it
-//! is handed and nothing else of the [`Soc`], so a caller can pass the
-//! firewall it found to another part of the system, such as the
+//! Fleet-wide walks (tracer wiring, the per-tick alert drain, stats,
+//! metrics, audit, epoch commits) go over the slot vectors directly, in
+//! that admission order, which is id order. Lookups by id (blocks,
+//! releases, recovery, scheduled updates, policy corruption) go through
+//! `homes`, the index of where each id lives. Tests check that the two
+//! agree on every id.
+//!
+//! The index holds positions only. A walk or a lookup borrows the slot
+//! vectors it is handed and nothing else of the [`Soc`], so a caller can
+//! pass the firewall it found to another part of the system, such as the
 //! reconfiguration controller.
 //!
 //! [`SocBuilder::try_build`]: crate::SocBuilder::try_build
@@ -94,20 +98,6 @@ impl Fleet {
         slaves.get_mut(self.ddr?)?.kind.ddr_mut()
     }
 
-    /// Firewall `id`, if the fleet has one.
-    pub(crate) fn get<'a>(
-        &self,
-        id: FirewallId,
-        masters: &'a [MasterSlot],
-        slaves: &'a [SlaveSlot],
-    ) -> Option<&'a LocalFirewall> {
-        match *self.homes.get(usize::from(id.0))? {
-            Home::Master(i) => masters.get(i)?.firewall.as_ref(),
-            Home::Slave(i) => slaves.get(i)?.firewall.as_ref(),
-            Home::Lcf => self.ddr(slaves)?.1.map(LocalCipheringFirewall::firewall),
-        }
-    }
-
     /// Firewall `id` with what surrounds it, if the fleet has one.
     pub(crate) fn member_mut<'a>(
         &self,
@@ -141,27 +131,38 @@ impl Fleet {
         })
     }
 
-    /// Every firewall, in id order.
+    /// Every firewall, in id order: the slots in the order
+    /// [`SocBuilder::try_build`] admits them.
+    ///
+    /// [`SocBuilder::try_build`]: crate::SocBuilder::try_build
     pub(crate) fn iter<'a>(
-        &'a self,
+        &self,
         masters: &'a [MasterSlot],
         slaves: &'a [SlaveSlot],
     ) -> impl Iterator<Item = &'a LocalFirewall> + 'a {
-        self.ids()
-            .filter_map(move |id| self.get(id, masters, slaves))
+        let lcf = self.ddr(slaves).and_then(|(_, lcf)| lcf);
+        masters
+            .iter()
+            .filter_map(|m| m.firewall.as_ref())
+            .chain(slaves.iter().filter_map(|s| s.firewall.as_ref()))
+            .chain(lcf.map(LocalCipheringFirewall::firewall))
     }
 
-    /// Visit every firewall mutably, in id order.
+    /// Visit every firewall mutably, in id order (see [`Fleet::iter`]).
     pub(crate) fn for_each_mut(
         &self,
         masters: &mut [MasterSlot],
         slaves: &mut [SlaveSlot],
         mut f: impl FnMut(&mut LocalFirewall),
     ) {
-        for id in self.ids() {
-            if let Some(fw) = self.get_mut(id, masters, slaves) {
-                f(fw);
-            }
+        for fw in masters.iter_mut().filter_map(|m| m.firewall.as_mut()) {
+            f(fw);
+        }
+        for fw in slaves.iter_mut().filter_map(|s| s.firewall.as_mut()) {
+            f(fw);
+        }
+        if let Some((_, Some(lcf))) = self.ddr_mut(slaves) {
+            f(lcf.firewall_mut());
         }
     }
 
@@ -183,10 +184,6 @@ impl Fleet {
                     .chain(lcf.map(LocalCipheringFirewall::firewall_mut))
             }))
             .collect()
-    }
-
-    fn ids(&self) -> impl Iterator<Item = FirewallId> {
-        (0..self.homes.len()).map(|k| FirewallId(k as u8))
     }
 }
 

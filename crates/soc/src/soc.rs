@@ -4,8 +4,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use secbus_bus::{
-    AddrRange, Arbiter, BusConfig, BusError, BusQuiet, FixedPriority, MasterId, Op, Response,
-    SharedBus, SlaveId, Transaction, TxnId, Width,
+    AddrRange, Arbiter, BusConfig, BusError, BusQuiet, FixedPriority, MasterId, Op, OverlapError,
+    Response, SharedBus, SlaveId, Transaction, TxnId, Width,
 };
 use secbus_core::{
     verify, Alert, ConfidentialityMode, ConfigMemory, CryptoTiming, EpochError, FirewallId,
@@ -395,6 +395,7 @@ impl SocBuilder {
                 MasterSlot {
                     bus_id,
                     halted: device.halted(),
+                    wake: Wake::Now,
                     device: Some(device),
                     firewall,
                     inflight: InFlightTable::default(),
@@ -408,7 +409,7 @@ impl SocBuilder {
         for (label, range, bram, policies) in self.brams {
             let bus_id = bus.add_slave();
             bus.map_range(bus_id, range)
-                .expect("overlapping BRAM range");
+                .map_err(BuildError::OverlappingRange)?;
             let firewall = if self.security {
                 policies.map(|p| {
                     LocalFirewall::new(
@@ -466,7 +467,8 @@ impl SocBuilder {
                 }
             }
             let bus_id = bus.add_slave();
-            bus.map_range(bus_id, range).expect("overlapping DDR range");
+            bus.map_range(bus_id, range)
+                .map_err(BuildError::OverlappingRange)?;
             fleet.set_ddr(slaves.len());
             let lcf = if self.security {
                 lcf_policies.map(|p| {
@@ -589,6 +591,9 @@ pub enum BuildError {
     ZeroIcCache,
     /// [`SocBuilder::trace`] was given a zero capacity.
     ZeroTraceCapacity,
+    /// A slave's address range ([`SocBuilder::add_bram`],
+    /// [`SocBuilder::set_ddr`]) overlaps one mapped before it.
+    OverlappingRange(OverlapError),
 }
 
 impl fmt::Display for BuildError {
@@ -601,6 +606,7 @@ impl fmt::Display for BuildError {
             BuildError::ZeroJournalInterval => write!(f, "journal interval must be positive"),
             BuildError::ZeroIcCache => write!(f, "ic_cache needs a positive capacity"),
             BuildError::ZeroTraceCapacity => write!(f, "trace capacity must be positive"),
+            BuildError::OverlappingRange(e) => write!(f, "overlapping slave ranges: {e}"),
         }
     }
 }
@@ -622,6 +628,12 @@ pub(crate) struct MasterSlot {
     /// build): the device changes only inside a tick, so the next tick
     /// compares against this instead of asking again before it.
     halted: bool,
+    /// What the device's `next_wake(now.next())` returned right after its
+    /// last event-core tick (`Wake::Now` at build and after a core
+    /// switch). It holds until that device's next tick, on the same
+    /// grounds as `halted`, so tick step 3 and the skip search both read
+    /// it instead of asking the device.
+    wake: Wake,
     pub(crate) firewall: Option<LocalFirewall>,
     /// One record per transaction this interface has on the bus.
     inflight: InFlightTable,
@@ -629,6 +641,25 @@ pub(crate) struct MasterSlot {
     inbound: VecDeque<(u64, Response)>,
     /// Responses ready for the device.
     ready: VecDeque<Response>,
+}
+
+impl MasterSlot {
+    /// Tick step 3 for this master, from its cached wake: `next` with
+    /// the device's declared wake folded in, or `None` when its tick is
+    /// due at `now`. Step 3 and the skip search both ask this, so they
+    /// cannot disagree about a master.
+    #[inline]
+    fn device_wake(&self, now: Cycle, next: Cycle) -> Option<Cycle> {
+        match self.wake {
+            Wake::Now => None,
+            Wake::At(at) => fold_wake(now, next, at),
+            // Pure while its response queue is empty.
+            Wake::Waiting if !self.ready.is_empty() => None,
+            // Terminally quiescent; undelivered responses are dead
+            // letters under both cores.
+            Wake::Waiting | Wake::Never => Some(next),
+        }
+    }
 }
 
 pub(crate) struct SlaveSlot {
@@ -1070,13 +1101,21 @@ impl Soc {
             }
         }
 
-        // 3. Tick the IPs through their port adapters. A missing device
-        //    (an invariant break — the slot always holds one between
-        //    ticks) is accounted and skipped rather than panicking the
-        //    fabric.
+        // 3. Tick the IPs through their port adapters. The event core
+        //    ticks only the devices whose cached wake says they are due
+        //    (a tick that is not due is a state no-op by the `Wake`
+        //    contract) and re-reads the wake after each tick; the
+        //    stepped core ticks every device. A missing device (an
+        //    invariant break — the slot always holds one between ticks)
+        //    is accounted and skipped rather than panicking the fabric.
+        let event = self.core == SimCore::Event;
         for slot in &mut self.masters {
+            if event && slot.device_wake(now, now).is_some() {
+                continue;
+            }
             let Some(mut device) = slot.device.take() else {
                 self.stats.incr("soc.invariant.device_missing");
+                slot.wake = Wake::Now;
                 continue;
             };
             {
@@ -1096,6 +1135,9 @@ impl Soc {
                 };
                 device.tick(&mut port, now);
             }
+            if event {
+                slot.wake = device.next_wake(now.next());
+            }
             // Maintain the halted census on transition (run_until_halt
             // checks a counter instead of re-polling every master).
             let halted = device.halted();
@@ -1113,23 +1155,22 @@ impl Soc {
         // 4. Bus arbitration and routing.
         self.bus.tick(now);
 
-        // 5. Slave service.
+        // 5. Slave service: a completion still maturing stays in place;
+        //    a due one goes out, and the slave takes its next request.
         for slot in &mut self.slaves {
-            if let Some((completes_at, resp)) = slot.pending.take() {
-                if completes_at <= now.get() {
+            match slot.pending {
+                Some((completes_at, _)) if completes_at > now.get() => continue,
+                Some((_, resp)) => {
+                    slot.pending = None;
                     self.bus.slave_complete(slot.bus_id, resp);
-                } else {
-                    slot.pending = Some((completes_at, resp));
-                    continue;
                 }
+                None => {}
             }
-            if slot.pending.is_none() {
-                if let Some(txn) = self.bus.slave_pop(slot.bus_id) {
-                    let (mut completes_at, resp) = Self::service(slot, &txn, now);
-                    // Charge any injected stall accrued while idle.
-                    completes_at += std::mem::take(&mut slot.stall_next);
-                    slot.pending = Some((completes_at, resp));
-                }
+            if let Some(txn) = self.bus.slave_pop(slot.bus_id) {
+                let (mut completes_at, resp) = Self::service(slot, &txn, now);
+                // Charge any injected stall accrued while idle.
+                completes_at += std::mem::take(&mut slot.stall_next);
+                slot.pending = Some((completes_at, resp));
             }
         }
 
@@ -1142,11 +1183,13 @@ impl Soc {
         }
 
         // 6. Alert network: firewalls -> monitor -> reactions, drained in
-        //    fleet (id) order.
+        //    fleet (id) order. Only the firewalls that raised are touched.
         let mut alerts = std::mem::take(&mut self.alerts);
         self.fleet
             .for_each_mut(&mut self.masters, &mut self.slaves, |fw| {
-                fw.drain_alerts_into(&mut alerts)
+                if fw.has_pending_alerts() {
+                    fw.drain_alerts_into(&mut alerts);
+                }
             });
         for alert in alerts.drain(..) {
             match self.monitor.observe(alert) {
@@ -1665,8 +1708,15 @@ impl Soc {
     /// Override the run-loop core (defaults to `SECBUS_SIM_CORE` /
     /// event-driven). Benches and the equivalence tests force both
     /// cores explicitly instead of mutating the process environment.
+    /// Every cached device wake is reset to `Wake::Now`: the stepped
+    /// core ticks devices without refreshing it, so the event core's
+    /// first tick after a switch ticks every device and reads each one
+    /// afresh.
     pub fn set_sim_core(&mut self, core: SimCore) {
         self.core = core;
+        for slot in &mut self.masters {
+            slot.wake = Wake::Now;
+        }
     }
 
     /// Ticks actually executed so far — on the stepped core equal to
@@ -1804,22 +1854,15 @@ impl Soc {
         wake(next, self.watch_floor)
     }
 
-    /// Tick steps 2–3 for one master: its declared wakes folded into
-    /// `next`, or `None` when it is due at `now`. The skip search's hint
-    /// check and its full pass both ask this, so they cannot disagree.
+    /// Tick steps 2–3 for one master: its maturing responses and its
+    /// cached device wake folded into `next`, or `None` when it is due
+    /// at `now`. The skip search's hint check and its full pass both ask
+    /// this, so they cannot disagree.
     fn master_wake(slot: &MasterSlot, now: Cycle, mut next: Cycle) -> Option<Cycle> {
         if let Some(&(ready_at, _)) = slot.inbound.front() {
             next = fold_wake(now, next, Cycle(ready_at))?;
         }
-        match slot.device.as_deref()?.next_wake(now) {
-            Wake::Now => None,
-            Wake::At(at) => fold_wake(now, next, at),
-            // Pure while its response queue is empty.
-            Wake::Waiting if !slot.ready.is_empty() => None,
-            // Terminally quiescent; undelivered responses are dead
-            // letters under both cores.
-            Wake::Waiting | Wake::Never => Some(next),
-        }
+        slot.device_wake(now, next)
     }
 
     /// Attach (replacing any previous plan) the fault plan whose events
@@ -2979,6 +3022,44 @@ mod tests {
         SocBuilder::new().watchdog(0).build();
     }
 
+    /// A 0x1000-byte BRAM at `base`.
+    fn bram_at(b: SocBuilder, label: &str, base: u32) -> SocBuilder {
+        b.add_bram(label, AddrRange::new(base, 0x1000), Bram::new(0x1000), None)
+    }
+
+    #[test]
+    fn overlapping_slave_ranges_are_typed_build_errors() {
+        let first = AddrRange::new(BRAM_BASE, 0x1000);
+        let overlap = |attempted| {
+            Some(BuildError::OverlappingRange(OverlapError {
+                attempted,
+                existing: first,
+                owner: SlaveId(0),
+            }))
+        };
+        // BRAM over BRAM.
+        let b = bram_at(SocBuilder::new(), "bram0", BRAM_BASE);
+        let err = bram_at(b, "bram1", BRAM_BASE + 0x800).try_build().err();
+        assert_eq!(err, overlap(AddrRange::new(BRAM_BASE + 0x800, 0x1000)));
+        // The DDR over a BRAM.
+        let ddr = AddrRange::new(BRAM_BASE + 0xFFC, 0x1000);
+        let err = bram_at(SocBuilder::new(), "bram0", BRAM_BASE)
+            .set_ddr("ddr", ddr, ExternalDdr::new(0x1000), None)
+            .try_build()
+            .err();
+        assert_eq!(err, overlap(ddr));
+        // Adjacent ranges are fine.
+        let b = bram_at(SocBuilder::new(), "bram0", BRAM_BASE);
+        assert!(bram_at(b, "bram1", BRAM_BASE + 0x1000).try_build().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping slave ranges: range")]
+    fn build_panics_on_overlapping_slave_ranges() {
+        let b = bram_at(SocBuilder::new(), "bram0", BRAM_BASE);
+        bram_at(b, "bram1", BRAM_BASE).build();
+    }
+
     #[test]
     fn quarantine_triggers_auto_recovery() {
         use secbus_cpu::{SyntheticConfig, SyntheticMaster};
@@ -3762,6 +3843,114 @@ mod tests {
         assert_eq!(parked.now(), Cycle::ZERO);
     }
 
+    /// A test IP that writes one word at each listed cycle and waits for
+    /// its answer before the next. It declares `At` its next write,
+    /// `Waiting` while a write is unanswered and `Never` when done, and
+    /// logs every cycle it is ticked on and every cycle its tick acts on
+    /// (a write issued or an answer taken).
+    struct Counting {
+        at: VecDeque<u64>,
+        addr: u32,
+        unanswered: bool,
+        ticked: Vec<u64>,
+        acted: Vec<u64>,
+        stats: Stats,
+    }
+
+    impl BusMaster for Counting {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn tick(&mut self, mem: &mut dyn MasterAccess, now: Cycle) {
+            self.ticked.push(now.get());
+            if self.unanswered {
+                if mem.poll().is_some() {
+                    self.unanswered = false;
+                    self.acted.push(now.get());
+                }
+            } else if self.at.front() == Some(&now.get()) {
+                self.at.pop_front();
+                mem.issue(Op::Write, self.addr, Width::Word, now.get() as u32, 1);
+                self.unanswered = true;
+                self.acted.push(now.get());
+            }
+        }
+
+        fn halted(&self) -> bool {
+            !self.unanswered && self.at.is_empty()
+        }
+
+        fn next_wake(&self, _now: Cycle) -> Wake {
+            match self.at.front() {
+                _ if self.unanswered => Wake::Waiting,
+                Some(&at) => Wake::At(Cycle(at)),
+                None => Wake::Never,
+            }
+        }
+
+        fn label(&self) -> &str {
+            "counting"
+        }
+
+        fn stats(&self) -> &Stats {
+            &self.stats
+        }
+    }
+
+    /// Two counting IPs whose writes interleave on one BRAM, so most
+    /// executed cycles have one IP due and the other not.
+    #[test]
+    fn event_core_ticks_each_device_only_on_its_due_cycles() {
+        const CYCLES: u64 = 200;
+        let schedules: [&[u64]; 2] = [&[3, 20, 51, 120], &[5, 24, 60, 101]];
+        let run = |core: SimCore| {
+            let mut b = SocBuilder::new();
+            for (k, at) in schedules.iter().enumerate() {
+                b = b.add_master(Box::new(Counting {
+                    at: at.iter().copied().collect(),
+                    addr: BRAM_BASE + 4 * k as u32,
+                    unanswered: false,
+                    ticked: Vec::new(),
+                    acted: Vec::new(),
+                    stats: Stats::new(),
+                }));
+            }
+            let mut soc = bram_at(b, "bram", BRAM_BASE).build();
+            soc.set_sim_core(core);
+            soc.run(CYCLES);
+            let logs: Vec<(Vec<u64>, Vec<u64>)> = (0..2)
+                .map(|k| {
+                    let ip = soc.master_as::<Counting>(k).unwrap();
+                    assert!(ip.halted(), "{core:?}: IP {k} wrote its whole schedule");
+                    (ip.ticked.clone(), ip.acted.clone())
+                })
+                .collect();
+            let state = (
+                soc.now().get(),
+                soc.metrics_json(),
+                soc.bram_contents().unwrap().to_vec(),
+            );
+            (logs, state)
+        };
+        let (stepped, stepped_state) = run(SimCore::Stepped);
+        let (event, event_state) = run(SimCore::Event);
+        assert!(
+            stepped_state == event_state,
+            "the cores' final states differ"
+        );
+        for (k, ((s_ticked, s_acted), (e_ticked, e_acted))) in
+            stepped.iter().zip(&event).enumerate()
+        {
+            assert_eq!(s_acted, e_acted, "IP {k} acts on the same cycles");
+            assert_eq!(*s_ticked, (0..CYCLES).collect::<Vec<_>>(), "stepped IP {k}");
+            // The event core ticks the first cycle (every wake starts as
+            // `Now`), then only the cycles the IP acts on.
+            let due: Vec<u64> = std::iter::once(0).chain(e_acted.iter().copied()).collect();
+            assert_eq!(*e_ticked, due, "event IP {k}");
+        }
+    }
+
     /// A halted core, so the fleet sees no traffic of its own.
     fn idle_core(label: &str) -> Box<Mb32Core> {
         Box::new(Mb32Core::with_local_program(
@@ -3826,7 +4015,7 @@ mod tests {
             .map(|(k, label)| (k as u8, label.to_string()))
             .collect();
 
-        let soc = fleet_soc(SocBuilder::new());
+        let mut soc = fleet_soc(SocBuilder::new());
         assert_eq!(members(&soc), expected);
         assert_eq!(soc.master_firewall_id(0), Some(FirewallId(0)));
         assert_eq!(soc.master_firewall_id(1), Some(FirewallId(1)));
@@ -3835,13 +4024,17 @@ mod tests {
             Some(FirewallId(2))
         );
         assert_eq!(soc.lcf().map(|l| l.firewall().id()), Some(FirewallId(3)));
+        // The walks go over the slots and lookups go through the index:
+        // the two agree on every id.
         for k in 0..4 {
-            let fw = soc.fleet.get(FirewallId(k), &soc.masters, &soc.slaves);
-            assert_eq!(fw.map(LocalFirewall::id), Some(FirewallId(k)));
+            let fw = soc
+                .fleet
+                .get_mut(FirewallId(k), &mut soc.masters, &mut soc.slaves);
+            assert_eq!(fw.map(|fw| fw.id()), Some(FirewallId(k)));
         }
         assert!(soc
             .fleet
-            .get(FirewallId(4), &soc.masters, &soc.slaves)
+            .get_mut(FirewallId(4), &mut soc.masters, &mut soc.slaves)
             .is_none());
 
         let soc = fleet_soc(SocBuilder::new().add_master(idle_core("bare")));
@@ -3952,7 +4145,7 @@ mod tests {
             let before = generations(&soc);
             let table = soc
                 .fleet
-                .get(FirewallId(k), &soc.masters, &soc.slaves)
+                .get_mut(FirewallId(k), &mut soc.masters, &mut soc.slaves)
                 .unwrap()
                 .config()
                 .policies()

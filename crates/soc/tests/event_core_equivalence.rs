@@ -297,3 +297,75 @@ fn saturated_platform_matches_when_the_flood_closes_mid_run() {
         "the idle tail was skipped ({event_ticks} ticks)"
     );
 }
+
+/// Run `soc` for `cycles` cycles on alternating cores, the event core
+/// first, switching every `every` cycles, and leave it on the event
+/// core.
+fn run_switching(soc: &mut Soc, cycles: u64, every: u64) {
+    let end = soc.now().get() + cycles;
+    let mut core = SimCore::Event;
+    while soc.now().get() < end {
+        soc.set_sim_core(core);
+        soc.run(every.min(end - soc.now().get()));
+        core = match core {
+            SimCore::Event => SimCore::Stepped,
+            SimCore::Stepped => SimCore::Event,
+        };
+    }
+    soc.set_sim_core(SimCore::Event);
+}
+
+/// Every core switch lands on a cycle the kernels' loops do not repeat
+/// in step with.
+const SWITCH_EVERY: u64 = 97;
+
+#[test]
+fn mid_run_core_switches_match_an_all_stepped_run() {
+    // The event core caches each device's wake after ticking it, and the
+    // stepped core ticks devices without refreshing that cache: a switch
+    // back to the event core must not trust what a stepped stretch left
+    // behind. The flood closes while the switches go on.
+    const CYCLES: u64 = 12_000;
+    let cfg = Saturated {
+        looping: true,
+        flood_until: 8_000,
+        ip_samples: 0,
+    };
+    let state = |soc: &Soc| {
+        (
+            soc.now().get(),
+            soc.metrics_json(),
+            soc.bram_contents().map(<[u8]>::to_vec).unwrap_or_default(),
+            soc.ddr().map(|d| d.contents().to_vec()).unwrap_or_default(),
+        )
+    };
+    let mut stepped = saturated_soc(&cfg, 1);
+    stepped.set_sim_core(SimCore::Stepped);
+    stepped.run(CYCLES);
+    let mut switched = saturated_soc(&cfg, 1);
+    run_switching(&mut switched, CYCLES, SWITCH_EVERY);
+    assert!(
+        state(&stepped) == state(&switched),
+        "the switched run's final state differs"
+    );
+}
+
+#[test]
+fn mid_run_core_switches_halt_where_an_all_stepped_run_does() {
+    // The halting case study: switched back and forth while the kernels
+    // run, then the event core runs to the halt and skips the idle tail.
+    const SWITCHING: u64 = 2_500;
+    let mut stepped = case_study(CaseStudyConfig::default());
+    stepped.set_sim_core(SimCore::Stepped);
+    let used = stepped.run_until_halt(200_000);
+    let mut switched = case_study(CaseStudyConfig::default());
+    run_switching(&mut switched, SWITCHING, SWITCH_EVERY);
+    let used_switched = SWITCHING + switched.run_until_halt(200_000 - SWITCHING);
+    assert!(
+        used > SWITCHING,
+        "the switches land before the halt ({used})"
+    );
+    assert_eq!(used, used_switched, "halt detected at the same cycle");
+    assert_eq!(stepped.metrics_json(), switched.metrics_json());
+    assert_eq!(stepped.bram_contents(), switched.bram_contents());
+}
