@@ -226,9 +226,6 @@ struct Flight {
     route: Vec<NodeId>,
     /// Index of the NEXT hop to traverse (route[hop-1] -> route[hop]).
     hop: usize,
-    /// Cycle at which the current hop finishes (packet sits at
-    /// route[hop-1] until then).
-    ready_at: u64,
     /// Content stamp taken at injection (ground-truth observer).
     stamp: u32,
     /// Retransmissions spent on the current hop.
@@ -239,8 +236,6 @@ struct Flight {
     reroutes: u32,
     /// Consecutive cycles spent waiting for a downstream buffer credit.
     credit_wait: u64,
-    /// Wedged inside a stuck router (unprotected mode only).
-    parked: bool,
 }
 
 impl Flight {
@@ -320,6 +315,13 @@ pub struct Mesh {
     /// since), in router-index order: the heartbeat detector's work list.
     stuck: Vec<(usize, u64)>,
     flights: Vec<Flight>,
+    /// `ready[i]` is the cycle at which `flights[i]`'s current hop
+    /// finishes (the packet sits at `route[hop - 1]` until then), or
+    /// [`PARKED`] once it is wedged in a dead router.
+    ready: Vec<u64>,
+    /// Indices of the flights due this tick, in ascending order; reused
+    /// every tick.
+    due: Vec<u32>,
     /// Route buffers of flights that left, refilled by the next
     /// injection or reroute so a packet's life allocates nothing.
     route_pool: Vec<Vec<NodeId>>,
@@ -327,8 +329,8 @@ pub struct Mesh {
     /// [`NocConfig::node_capacity`].
     occupancy: Vec<u32>,
     delivered: Vec<VecDeque<(Packet, DeliveryInfo)>>,
-    /// Packets waiting in `delivered`, over every node.
-    pending_deliveries: usize,
+    /// One bit per node, set while its `delivered` queue is non-empty.
+    pending: Vec<u64>,
     alerts: VecDeque<NocAlert>,
     next_id: u64,
     stats: Stats,
@@ -341,6 +343,9 @@ pub struct Mesh {
 /// Trace lane used for NoC-raised alerts (no firewall id applies).
 const NOC_ALERT_LANE: u8 = u8::MAX;
 
+/// The ready cycle of a flight wedged in a dead router: never due.
+const PARKED: u64 = u64::MAX;
+
 impl Mesh {
     /// Create a mesh.
     pub fn new(topology: Topology, config: NocConfig) -> Self {
@@ -351,10 +356,12 @@ impl Mesh {
             stuck: Vec::new(),
             occupancy: vec![0; topology.len()],
             delivered: (0..topology.len()).map(|_| VecDeque::new()).collect(),
-            pending_deliveries: 0,
+            pending: vec![0; topology.len().div_ceil(64)],
             topology,
             config,
             flights: Vec::new(),
+            ready: Vec::new(),
+            due: Vec::new(),
             route_pool: Vec::new(),
             alerts: VecDeque::new(),
             next_id: 0,
@@ -506,13 +513,13 @@ impl Mesh {
         let stamp = content_stamp(&packet);
         let local = route.len() == 1;
         self.occupancy[self.topology.index(packet.src)] += 1;
+        self.ready.push(if local {
+            // Local delivery: just the router pipeline once.
+            now.get() + ROUTER_CYCLES
+        } else {
+            now.get()
+        });
         self.flights.push(Flight {
-            ready_at: if local {
-                // Local delivery: just the router pipeline once.
-                now.get() + ROUTER_CYCLES
-            } else {
-                now.get()
-            },
             packet,
             route,
             hop: 1,
@@ -521,13 +528,13 @@ impl Mesh {
             retransmissions: 0,
             reroutes: 0,
             credit_wait: 0,
-            parked: false,
         });
     }
 
     /// Remove a flight, returning its node's buffer credit. The caller
     /// returns its route buffer to `route_pool`.
     fn remove_flight(&mut self, idx: usize) -> Flight {
+        self.ready.swap_remove(idx);
         let flight = self.flights.swap_remove(idx);
         if let Some(pos) = flight.position() {
             let n = self.topology.index(pos);
@@ -563,6 +570,7 @@ impl Mesh {
             let mut i = 0;
             while i < self.flights.len() {
                 if self.flights[i].position() == Some(node) {
+                    self.ready.swap_remove(i);
                     let flight = self.flights.swap_remove(i);
                     self.occupancy[idx] = self.occupancy[idx].saturating_sub(1);
                     self.route_pool.push(flight.route);
@@ -575,10 +583,12 @@ impl Mesh {
     }
 
     /// Reroute `flight` from its current position, into a buffer from
-    /// `pool`; the old route goes back to `pool`. Returns the loss
+    /// `pool`; the old route goes back to `pool`, and the flight is ready
+    /// again after one router pipeline pass (`ready`). Returns the loss
     /// reason when the packet must be abandoned (fail secure).
     fn reroute(
         flight: &mut Flight,
+        ready: &mut u64,
         fault_map: &FaultMap,
         pool: &mut Vec<Vec<NodeId>>,
         stats: &mut Stats,
@@ -601,19 +611,30 @@ impl Mesh {
         flight.hop = 1;
         flight.retx_hop = 0;
         // Route recomputation charges one router pipeline pass.
-        flight.ready_at = now.get() + ROUTER_CYCLES;
+        *ready = now.get() + ROUTER_CYCLES;
         None
     }
 
     /// Advance the network one cycle: move every flight whose current hop
     /// completed and whose next link is free.
+    ///
+    /// Due flights are served in ascending index order, which decides
+    /// who wins a contended link or the last credit of a router.
     pub fn tick(&mut self, now: Cycle) {
         self.detect_dead_routers(now);
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        for (idx, flight) in self.flights.iter_mut().enumerate() {
-            if flight.parked || flight.ready_at > now.get() {
-                continue;
-            }
+        // The due flights' indices, gathered without a branch per flight.
+        let mut due = std::mem::take(&mut self.due);
+        due.resize(self.ready.len(), 0);
+        let mut k = 0;
+        for (i, &ready) in self.ready.iter().enumerate() {
+            due[k] = i as u32;
+            k += usize::from(ready <= now.get());
+        }
+        for &idx in &due[..k] {
+            let idx = idx as usize;
+            let flight = &mut self.flights[idx];
+            let ready = &mut self.ready[idx];
             if flight.hop >= flight.route.len() {
                 outcomes.push(Outcome::Finished(idx));
                 continue;
@@ -626,7 +647,7 @@ impl Mesh {
             // (alert); the bare mesh wedges, exactly like hardware.
             if self.routers[from_idx].stuck_since.is_some() {
                 if !self.config.protected {
-                    flight.parked = true;
+                    *ready = PARKED;
                     self.stats.incr("noc.parked_in_dead_router");
                 }
                 continue;
@@ -640,6 +661,7 @@ impl Mesh {
                 // The fault map already knows this hop is dead: detour.
                 if let Some(reason) = Self::reroute(
                     flight,
+                    ready,
                     &self.fault_map,
                     &mut self.route_pool,
                     &mut self.stats,
@@ -681,7 +703,7 @@ impl Mesh {
                     } else {
                         // The link works; the packet enters the dead
                         // router and parks there (handled next tick).
-                        flight.ready_at = now.get() + hop_cost;
+                        *ready = now.get() + hop_cost;
                         flight.hop += 1;
                         flight.credit_wait = 0;
                         self.occupancy[from_idx] = self.occupancy[from_idx].saturating_sub(1);
@@ -703,7 +725,7 @@ impl Mesh {
                 }
                 // Protected: ack timeout → retransmit, feed the streak
                 // detector.
-                flight.ready_at = now.get() + hop_cost;
+                *ready = now.get() + hop_cost;
                 flight.retx_hop += 1;
                 flight.retransmissions += 1;
                 self.stats.incr("noc.ack_timeouts");
@@ -733,7 +755,7 @@ impl Mesh {
                     // CRC-32 catches any ≤32-bit wire burst: the receiver
                     // nacks, the sender retransmits the pristine flit.
                     self.links[link].free_at = now.get() + hop_cost;
-                    flight.ready_at = now.get() + hop_cost;
+                    *ready = now.get() + hop_cost;
                     flight.retx_hop += 1;
                     flight.retransmissions += 1;
                     self.stats.incr("noc.crc_detected");
@@ -767,7 +789,7 @@ impl Mesh {
             self.links[link].tx_seq += 1;
             flight.retx_hop = 0;
             flight.credit_wait = 0;
-            flight.ready_at = now.get() + hop_cost;
+            *ready = now.get() + hop_cost;
             flight.hop += 1;
             self.occupancy[from_idx] = self.occupancy[from_idx].saturating_sub(1);
             self.occupancy[to_idx] += 1;
@@ -784,6 +806,7 @@ impl Mesh {
                 );
             }
         }
+        self.due = due;
         // Apply outcomes back to front so swap_remove indices stay valid.
         for outcome in outcomes.drain(..).rev() {
             match outcome {
@@ -830,7 +853,7 @@ impl Mesh {
         }
         self.stats.incr_slot(MeshCounter::Delivered);
         let node = self.topology.index(last);
-        self.pending_deliveries += 1;
+        self.pending[node / 64] |= 1 << (node % 64);
         self.delivered[node].push_back((
             flight.packet,
             DeliveryInfo {
@@ -848,9 +871,37 @@ impl Mesh {
 
     /// Pop the next delivery with its transport metadata.
     pub fn deliver_with_info(&mut self, node: NodeId) -> Option<(Packet, DeliveryInfo)> {
-        let delivery = self.delivered[self.topology.index(node)].pop_front();
-        self.pending_deliveries -= usize::from(delivery.is_some());
-        delivery
+        self.pop_delivery(self.topology.index(node))
+    }
+
+    /// Pop the next packet delivered to the lowest-indexed (row-major)
+    /// endpoint that has one waiting; the endpoint is the packet's `dst`.
+    /// Called until `None`, it yields what a [`Mesh::deliver`] sweep over
+    /// every node in index order does, in the same order.
+    pub fn deliver_next(&mut self) -> Option<Packet> {
+        let word = self.pending.iter().position(|&w| w != 0)?;
+        let n = word * 64 + self.pending[word].trailing_zeros() as usize;
+        self.pop_delivery(n).map(|(p, _)| p)
+    }
+
+    /// Pop the front of node `n`'s delivery queue, clearing its pending
+    /// bit when that empties the queue. A pop from an empty queue, most
+    /// of a node-order `deliver` sweep, returns at its first test.
+    fn pop_delivery(&mut self, n: usize) -> Option<(Packet, DeliveryInfo)> {
+        let queue = &mut self.delivered[n];
+        match queue.len() {
+            0 => return None,
+            // `pending` has a word for every node. `get_mut` keeps a
+            // second panic path, and the stack frame it would need, off
+            // the empty pops.
+            1 => {
+                if let Some(word) = self.pending.get_mut(n / 64) {
+                    *word &= !(1 << (n % 64));
+                }
+            }
+            _ => {}
+        }
+        queue.pop_front()
     }
 
     /// Packets currently in flight.
@@ -861,7 +912,7 @@ impl Mesh {
     /// Packets wedged inside dead routers (bare mesh only; the protected
     /// transport converts these into alerts).
     pub fn parked(&self) -> usize {
-        self.flights.iter().filter(|f| f.parked).count()
+        self.ready.iter().filter(|&&r| r == PARKED).count()
     }
 
     /// Packets resident at `node` — the consumed buffer credits out of
@@ -878,7 +929,7 @@ impl Mesh {
     /// Whether any delivered packet is waiting to be popped by a
     /// destination (the runner's delivery step has work to do).
     pub fn has_pending_deliveries(&self) -> bool {
-        self.pending_deliveries > 0
+        self.pending.iter().any(|&w| w != 0)
     }
 
     /// Whether any alert is waiting to be taken.
@@ -894,7 +945,7 @@ impl Mesh {
     /// due); tick again at `c`. `MeshQuiet::Idle` — ticks are pure
     /// until new packets are injected.
     ///
-    /// Deliberately conservative: any unparked flight whose `ready_at`
+    /// Deliberately conservative: any unparked flight whose ready cycle
     /// has passed makes the mesh Active even if its next hop is
     /// blocked, because blocked-hop ticks charge per-cycle wait
     /// statistics that must stay byte-identical.
@@ -903,14 +954,14 @@ impl Mesh {
         let mut merge = |c: u64| {
             next = Some(next.map_or(c, |n| n.min(c)));
         };
-        for flight in &self.flights {
-            if flight.parked {
-                continue; // wedged forever (bare mesh); pure
-            }
-            if flight.ready_at <= now.get() {
-                return MeshQuiet::Active;
-            }
-            merge(flight.ready_at);
+        // A parked flight (wedged forever, bare mesh) is pure: its ready
+        // cycle never comes.
+        let earliest = self.ready.iter().copied().min().unwrap_or(PARKED);
+        if earliest <= now.get() {
+            return MeshQuiet::Active;
+        }
+        if earliest != PARKED {
+            merge(earliest);
         }
         if self.config.protected {
             // Detected routers have left the list: their detector is pure.
@@ -1078,6 +1129,89 @@ mod tests {
         packet(&mut mesh, NodeId::new(0, 0), dst, 8, Cycle(0));
         let (_, at) = run_until_delivered(&mut mesh, dst, 100);
         assert_eq!(at, 11); // 3 + 8 = 11
+    }
+
+    /// Whether the pending-node mask agrees with the delivery queues.
+    fn pending_matches_queues(mesh: &Mesh) -> bool {
+        let waiting = |n: usize| !mesh.delivered[n].is_empty();
+        let marked = |n: usize| mesh.pending[n / 64] >> (n % 64) & 1 == 1;
+        let nodes = 0..mesh.delivered.len();
+        nodes.clone().all(|n| marked(n) == waiting(n))
+            && mesh.has_pending_deliveries() == nodes.into_iter().any(waiting)
+    }
+
+    /// Two meshes driven alike, one drained by a node-order `deliver`
+    /// sweep and one by `deliver_next`, every few cycles so that queues
+    /// hold several packets at several nodes: the same packets come out
+    /// in the same order, and the pending mask tracks the queues after
+    /// every pop. 12×8 spans two mask words.
+    #[test]
+    fn deliver_next_pops_in_node_sweep_order() {
+        use secbus_sim::SimRng;
+        for (cols, rows) in [(4u8, 4u8), (12, 8)] {
+            let topology = Topology::new(cols, rows);
+            let nodes: Vec<NodeId> = topology.nodes().collect();
+            let mut rng = SimRng::new(0xDE11 + u64::from(cols));
+            let mut sweep = Mesh::new(topology, NocConfig::protected());
+            let mut next = Mesh::new(topology, NocConfig::protected());
+            let (mut swept, mut popped) = (Vec::new(), Vec::new());
+            for c in 0..600 {
+                if c < 400 {
+                    for _ in 0..rng.below(4) {
+                        let src = *rng.pick(&nodes);
+                        let dst = *rng.pick(&nodes);
+                        packet(&mut sweep, src, dst, 2, Cycle(c));
+                        packet(&mut next, src, dst, 2, Cycle(c));
+                    }
+                }
+                sweep.tick(Cycle(c));
+                next.tick(Cycle(c));
+                if c % 7 != 0 {
+                    continue;
+                }
+                for &n in &nodes {
+                    while let Some(p) = sweep.deliver(n) {
+                        swept.push((n, p.id));
+                        assert!(pending_matches_queues(&sweep), "cycle {c}");
+                    }
+                }
+                while let Some(p) = next.deliver_next() {
+                    popped.push((p.dst, p.id));
+                    assert!(pending_matches_queues(&next), "cycle {c}");
+                }
+                assert!(!next.has_pending_deliveries());
+            }
+            assert_eq!(next.in_flight(), 0);
+            assert!(swept.len() > 500, "{} deliveries", swept.len());
+            assert_eq!(popped, swept, "{cols}x{rows}");
+        }
+    }
+
+    /// Flights due in one tick take a contended link in index order,
+    /// also after a `swap_remove` moved the last flight into a freed
+    /// slot ahead of an older one.
+    #[test]
+    fn contending_flights_are_served_in_index_order() {
+        let mut mesh = Mesh::new(Topology::new(2, 1), NocConfig::protected());
+        let (west, east) = (NodeId::new(0, 0), NodeId::new(1, 0));
+        // Flight 0 is local and leaves at tick 3; flight 1 holds the
+        // east link until cycle 11; flights 2 (older) and 3 wait for it.
+        let local = packet(&mut mesh, east, east, 1, Cycle(0));
+        let holder = packet(&mut mesh, west, east, 8, Cycle(0));
+        let older = packet(&mut mesh, west, east, 1, Cycle(0));
+        let newer = packet(&mut mesh, west, east, 1, Cycle(0));
+        let mut order = Vec::new();
+        for c in 0..40 {
+            mesh.tick(Cycle(c));
+            if c == 3 {
+                // Flight 0 left, and flight 3 took its slot.
+                assert_eq!(mesh.flights[0].packet.id, newer);
+            }
+            while let Some(p) = mesh.deliver_next() {
+                order.push(p.id);
+            }
+        }
+        assert_eq!(order, vec![local, holder, newer, older]);
     }
 
     #[test]

@@ -106,15 +106,16 @@ pub(crate) fn xy_route_into(src: NodeId, dst: NodeId, path: &mut Vec<NodeId>) {
 
 /// Mesh direction index: N=0, S=1, E=2, W=3 (shared with the mesh's
 /// per-directed-link arrays and `secbus-fault`'s link selectors).
+///
+/// Both candidates are computed and one is selected, so the mesh's hop
+/// step takes no branch on a direction, which varies from hop to hop.
 pub fn direction_index(from: NodeId, to: NodeId) -> usize {
-    if to.y < from.y {
-        0 // north
-    } else if to.y > from.y {
-        1 // south
-    } else if to.x > from.x {
-        2 // east
+    let vertical = usize::from(to.y > from.y); // north 0, south 1
+    let horizontal = 3 - usize::from(to.x > from.x); // east 2, west 3
+    if to.y == from.y {
+        horizontal
     } else {
-        3 // west
+        vertical
     }
 }
 

@@ -14,6 +14,9 @@
 //! records keep coming, ever more rarely, long after warm-up (on this
 //! schedule one falls at cycle 10 236), so the test counts them and
 //! allows exactly one allocation for each.
+//!
+//! Deliveries are drained both ways the mesh offers: a `deliver` sweep
+//! over every node, and `deliver_next` (what `run_overload` uses).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -82,8 +85,18 @@ const SIDE: u8 = 8;
 const WARM_UP: u64 = 10_000;
 const MEASURED: u64 = 20_000;
 
+/// How the loop takes deliveries off the mesh.
+#[derive(Clone, Copy)]
+enum Drain {
+    /// `deliver` on every node, in index order.
+    Sweep,
+    /// `deliver_next` until it returns `None`.
+    Next,
+}
+
 /// `run_overload`'s open loop over a pre-built schedule, with its books.
 struct Load {
+    drain: Drain,
     nodes: Vec<NodeId>,
     schedule: Vec<Arrival>,
     next: usize,
@@ -124,9 +137,18 @@ impl Load {
                 }
             }
             mesh.tick(now);
-            for &n in &self.nodes {
-                while mesh.deliver(n).is_some() {
-                    self.delivered += 1;
+            match self.drain {
+                Drain::Sweep => {
+                    for &n in &self.nodes {
+                        while mesh.deliver(n).is_some() {
+                            self.delivered += 1;
+                        }
+                    }
+                }
+                Drain::Next => {
+                    while mesh.deliver_next().is_some() {
+                        self.delivered += 1;
+                    }
                 }
             }
             while mesh.take_alert().is_some() {
@@ -139,6 +161,15 @@ impl Load {
 
 #[test]
 fn protected_mesh_allocates_nothing_after_warm_up() {
+    allocates_nothing_after_warm_up(Drain::Sweep);
+}
+
+#[test]
+fn protected_mesh_drained_by_deliver_next_allocates_nothing_after_warm_up() {
+    allocates_nothing_after_warm_up(Drain::Next);
+}
+
+fn allocates_nothing_after_warm_up(drain: Drain) {
     let topology = Topology::new(SIDE, SIDE);
     let nodes: Vec<NodeId> = topology.nodes().collect();
     let mut mesh = Mesh::new(
@@ -160,6 +191,7 @@ fn protected_mesh_allocates_nothing_after_warm_up() {
     })
     .schedule();
     let mut load = Load {
+        drain,
         nodes,
         schedule,
         next: 0,

@@ -35,7 +35,7 @@ pub use cycle::Cycle;
 pub use json::{Json, JsonError};
 pub use log::EventLog;
 pub use metrics::MetricsRegistry;
-pub use rng::SimRng;
+pub use rng::{SimRng, SimRngLanes};
 pub use stats::{Counter, Histogram, StatKey, Stats};
 pub use trace::{TraceEvent, Tracer};
 pub use wake::{SimCore, Wake};

@@ -23,8 +23,15 @@
 //! from the root seed), so the schedule for source `i` does not change
 //! when other sources are added or removed, and the whole schedule is
 //! byte-identical for a given [`WorkloadConfig`].
+//!
+//! The streams are stepped together as one [`SimRngLanes`]: on each
+//! active cycle one vectorised pass takes every source's arrival draw,
+//! then each source that drew an arrival draws its write flag, address
+//! and destination on its own stream, in source order. Each stream sees
+//! exactly the draws a per-source loop would make.
 
-use secbus_sim::SimRng;
+use secbus_sim::rng::chance_threshold;
+use secbus_sim::{SimRng, SimRngLanes};
 
 /// Spatial/temporal shape of the offered traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,11 +118,6 @@ pub struct Arrival {
     pub addr: u32,
 }
 
-/// Per-source generator state.
-struct SourceState {
-    rng: SimRng,
-}
-
 /// Incremental open-loop arrival generator.
 ///
 /// [`Workload::arrivals_at`] must be called with strictly increasing
@@ -123,7 +125,12 @@ struct SourceState {
 /// full schedule at once for property tests and small runs.
 pub struct Workload {
     cfg: WorkloadConfig,
-    states: Vec<SourceState>,
+    /// `chance(cfg.intensity)` as an integer draw threshold.
+    arrives: u64,
+    /// One stream per source, stepped together.
+    lanes: SimRngLanes,
+    /// Which sources' streams drew an arrival this cycle, reused.
+    hits: Vec<u64>,
 }
 
 impl Workload {
@@ -132,12 +139,15 @@ impl Workload {
     /// changes to the number of *other* sources.
     pub fn new(cfg: WorkloadConfig) -> Self {
         let root = SimRng::new(cfg.seed);
-        let states = (0..cfg.sources)
-            .map(|i| SourceState {
-                rng: root.derive(&format!("workload.src{i}")),
-            })
+        let lanes = (0..cfg.sources)
+            .map(|i| root.derive(&format!("workload.src{i}")))
             .collect();
-        Workload { cfg, states }
+        Workload {
+            cfg,
+            arrives: chance_threshold(cfg.intensity),
+            lanes,
+            hits: Vec::new(),
+        }
     }
 
     /// The configuration this generator was built from.
@@ -167,23 +177,24 @@ impl Workload {
             return;
         }
         let cfg = self.cfg;
-        let arrives = chance_threshold(cfg.intensity);
-        for (source, state) in self.states.iter_mut().enumerate() {
-            let rng = &mut state.rng;
-            // `rng.chance(cfg.intensity)`, as one integer compare.
-            if rng.next_u64() >> 11 >= arrives {
-                continue;
+        self.lanes.step_chance(self.arrives, &mut self.hits);
+        for (word, mut hits) in self.hits.iter().copied().enumerate() {
+            while hits != 0 {
+                let source = word * 64 + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                out.push(self.lanes.lend(source, |rng| {
+                    let write = rng.chance(cfg.write_fraction);
+                    let addr = (rng.below(u64::from(cfg.addr_words.max(1))) as u32) * 4;
+                    let dest = dest_for(&cfg, source, rng);
+                    Arrival {
+                        at: cycle,
+                        source,
+                        dest,
+                        write,
+                        addr,
+                    }
+                }));
             }
-            let write = rng.chance(cfg.write_fraction);
-            let addr = (rng.below(u64::from(cfg.addr_words.max(1))) as u32) * 4;
-            let dest = dest_for(&cfg, source, rng);
-            out.push(Arrival {
-                at: cycle,
-                source,
-                dest,
-                write,
-                addr,
-            });
         }
     }
 
@@ -196,16 +207,6 @@ impl Workload {
         }
         out
     }
-}
-
-/// The integer form of [`SimRng::chance`]: `chance(p)` hits exactly when
-/// the draw's top 53 bits, `next_u64() >> 11`, lie below this threshold.
-///
-/// `chance` compares `k · 2⁻⁵³` with `p` clamped to `[0, 1]`. Scaling by
-/// 2⁵³ is exact, and an integer `k` lies below a real `x` exactly when it
-/// lies below `⌈x⌉`. A NaN `p` never hits, and casts to 0.
-fn chance_threshold(p: f64) -> u64 {
-    (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Destination for one arrival from `source` under `cfg.pattern`.
@@ -360,38 +361,86 @@ mod tests {
         assert!(all_writes.iter().all(|a| a.write));
     }
 
-    #[test]
-    fn integer_draw_matches_chance() {
-        let probabilities = [
-            0.0,
-            5e-324,
-            0.03,
-            0.5,
-            1.0 - f64::EPSILON / 2.0,
-            1.0,
-            1.5,
-            -0.5,
-            f64::NAN,
-        ];
-        for p in probabilities {
-            let threshold = chance_threshold(p);
-            let mut float = SimRng::new(0x5EED).derive("draw");
-            let mut integer = float.clone();
-            for draw in 0..100_000 {
-                assert_eq!(
-                    integer.next_u64() >> 11 < threshold,
-                    float.chance(p),
-                    "p {p:e}, draw {draw}"
-                );
+    /// The per-source generator the lanes replaced, kept as the
+    /// reference: one `SimRng` per source, each drawing its whole arrival
+    /// before the next source draws.
+    fn reference_schedule(cfg: WorkloadConfig) -> Vec<Arrival> {
+        let root = SimRng::new(cfg.seed);
+        let mut rngs: Vec<SimRng> = (0..cfg.sources)
+            .map(|i| root.derive(&format!("workload.src{i}")))
+            .collect();
+        let window = Workload::new(WorkloadConfig { sources: 0, ..cfg });
+        let mut out = Vec::new();
+        for cycle in (0..cfg.cycles).filter(|&c| window.active(c)) {
+            for (source, rng) in rngs.iter_mut().enumerate() {
+                if !rng.chance(cfg.intensity) {
+                    continue;
+                }
+                let write = rng.chance(cfg.write_fraction);
+                let addr = (rng.below(u64::from(cfg.addr_words.max(1))) as u32) * 4;
+                let dest = dest_for(&cfg, source, rng);
+                out.push(Arrival {
+                    at: cycle,
+                    source,
+                    dest,
+                    write,
+                    addr,
+                });
             }
         }
-        // The edges the threshold exists for: 2⁵³ − 1 at p = 1 − 2⁻⁵³
-        // misses only the largest draw, 1 at the least subnormal hits
-        // only a zero draw, and p = 1 hits every draw.
-        assert_eq!(chance_threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
-        assert_eq!(chance_threshold(5e-324), 1);
-        assert_eq!(chance_threshold(1.0), 1 << 53);
-        assert_eq!(chance_threshold(f64::NAN), 0);
+        out
+    }
+
+    /// 504 configurations: 3 seeds × 4 patterns × 7 source counts (either
+    /// side of each 64-lane word) × 6 intensities (none, light, heavy,
+    /// saturated, out of range, NaN). `schedule()`, and `arrivals_at`
+    /// called cycle by cycle up to well past the window, both equal the
+    /// per-source reference.
+    #[test]
+    fn lanes_match_the_per_source_reference() {
+        let patterns = [
+            Pattern::Poisson,
+            Pattern::Bursty {
+                burst_len: 20,
+                gap_len: 30,
+            },
+            Pattern::Hotspot {
+                hot: 3,
+                fraction: 0.7,
+            },
+            Pattern::Transpose,
+        ];
+        let (mut configs, mut arrivals) = (0, 0);
+        for seed in [1u64, 7, 1_000_003] {
+            for pattern in patterns {
+                for sources in [0usize, 1, 5, 63, 64, 65, 130] {
+                    for intensity in [0.0, 0.03, 0.5, 1.0, 1.5, f64::NAN] {
+                        let cfg = WorkloadConfig {
+                            pattern,
+                            sources,
+                            dests: 16,
+                            cols: 4,
+                            intensity,
+                            cycles: 240,
+                            seed,
+                            ..WorkloadConfig::default()
+                        };
+                        let want = reference_schedule(cfg);
+                        assert_eq!(Workload::new(cfg).schedule(), want, "{cfg:?}");
+                        let mut stepped = Workload::new(cfg);
+                        let mut got = Vec::new();
+                        for cycle in 0..cfg.cycles + 100 {
+                            stepped.arrivals_at(cycle, &mut got);
+                        }
+                        assert_eq!(got, want, "{cfg:?}, past the window");
+                        configs += 1;
+                        arrivals += want.len();
+                    }
+                }
+            }
+        }
+        assert_eq!(configs, 504);
+        assert!(arrivals > 100_000, "{arrivals} arrivals");
     }
 
     #[test]
